@@ -1,16 +1,18 @@
 #!/usr/bin/env bash
-# CI gate: tier-1 tests, a coverage gate, an observability smoke test,
-# a chaos smoke test, a parallel-execution smoke test, a process-pool
-# smoke test (a `--pool process --workers 4 --columnar` report diffed
-# byte-for-byte against the serial run), a crash-resume smoke test, a
-# Chrome trace-export smoke test, a perf-gate smoke test (which
-# also enforces the records/second floor), a hostile-input smoke
+# CI gate: tier-1 tests, the benchmark's self-tests (so a rename that
+# breaks perfbench's layer map fails here), a coverage gate, an
+# observability smoke test, a chaos smoke test, a parallel-execution
+# smoke test, a process-pool smoke test (a `--pool process --workers 4`
+# report diffed byte-for-byte against the serial run), a crash-resume
+# smoke test, a Chrome trace-export smoke test, a perf-gate smoke test
+# (which also enforces the records/second floor), a hostile-input smoke
 # test (a `--hostile poison` run must quarantine with exact three-bucket
 # accounting while the clean run quarantines nothing), and an
 # investigation smoke test (a process-pool fleet's fingerprint must
 # match the serial run's, a killed durable fleet must resume to the
 # same fingerprint, and the perf gate's investigations/second floor
-# must stay wired).
+# must stay wired). Every killed run — batch, watch, serve, investigate
+# — is finished by the one verb `repro resume DIR`.
 #
 # Usage: scripts/ci.sh
 # The coverage gate (scripts/coverage_gate.py) fails the build when
@@ -24,17 +26,21 @@
 # with --workers 4 and asserts a clean exit with a non-zero enrichment
 # cache hit rate in the stats output. The crash-resume smoke test kills
 # a checkpointed flaky run mid-enrichment (--crash-at), resumes it with
-# `repro resume`, and diffs the resumed report against an uninterrupted
-# run's — they must be byte-identical. The watch smoke test runs a
-# 2-epoch incremental ingest (`repro watch`), crashes a second copy
-# mid-epoch-2, resumes it from its stream directory, and compares the
-# stream fingerprints — crash/resume must not change what was ingested.
+# `repro resume DIR`, and diffs the resumed report against an
+# uninterrupted run's — they must be byte-identical. The watch smoke
+# test runs a 2-epoch incremental ingest (`repro watch`), crashes a
+# second copy mid-epoch-2, resumes it from its stream directory, and
+# compares the stream fingerprints — crash/resume must not change what
+# was ingested.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== tier-1 tests =="
 python -m pytest -x -q tests
+
+echo "== benchmark self-tests (perfbench layer map) =="
+python -m pytest -q perfbench
 
 echo "== coverage gate =="
 python scripts/coverage_gate.py
@@ -98,19 +104,19 @@ assert hits > 0, "parallel run recorded zero cache hits"
 print(f"parallel ok: workers=4 run exited 0 with {hits} cache hits")
 PY
 
-echo "== process-pool smoke test (--pool process --workers 4 --columnar) =="
+echo "== process-pool smoke test (--pool process --workers 4) =="
 proc_report="$(mktemp -t repro-proc-XXXXXX.txt)"
 serial_report="$(mktemp -t repro-serial-XXXXXX.txt)"
 trap 'rm -f "$trace" "$chaos_out" "$par_out" "$proc_report" "$serial_report"' EXIT
 python -m repro --seed 7 --campaigns 20 --quiet --workers 4 \
-  --pool process --columnar report > "$proc_report"
+  --pool process report > "$proc_report"
 python -m repro --seed 7 --campaigns 20 --quiet report > "$serial_report"
 if ! diff -q "$proc_report" "$serial_report" > /dev/null; then
-  echo "process-pool FAILED: --pool process --columnar report differs from serial run" >&2
+  echo "process-pool FAILED: --pool process report differs from serial run" >&2
   diff "$proc_report" "$serial_report" | head -20 >&2
   exit 1
 fi
-echo "process-pool ok: 4-worker columnar report byte-identical to serial run"
+echo "process-pool ok: 4-worker process-pool report byte-identical to serial run"
 
 echo "== crash-resume smoke test (checkpoint journal) =="
 ck_dir="$(mktemp -d -t repro-ck-XXXXXX)"
@@ -126,7 +132,7 @@ if [ "$crash_rc" -ne 75 ]; then
   echo "crash-resume FAILED: expected exit 75 from the killed run, got $crash_rc" >&2
   exit 1
 fi
-python -m repro resume --checkpoint-dir "$ck_dir" --quiet > "$resumed_out"
+python -m repro resume "$ck_dir" --quiet > "$resumed_out"
 python -m repro --seed 7 --campaigns 40 --quiet --faults flaky report > "$full_out"
 if ! diff -q "$resumed_out" "$full_out" > /dev/null; then
   echo "crash-resume FAILED: resumed report differs from uninterrupted run" >&2
@@ -156,7 +162,7 @@ if [ "$watch_rc" -ne 75 ]; then
   echo "watch FAILED: expected exit 75 from the mid-epoch crash, got $watch_rc" >&2
   exit 1
 fi
-python -m repro --quiet resume --stream-dir "$crash_dir" > "$resume_stream_out"
+python -m repro --quiet resume "$crash_dir" > "$resume_stream_out"
 clean_fp="$(grep "^stream fingerprint=" "$watch_out")"
 resumed_fp="$(grep "^stream fingerprint=" "$resume_stream_out")"
 if [ "$clean_fp" != "$resumed_fp" ]; then
@@ -203,8 +209,7 @@ if [ "$serve_rc" -ne 75 ]; then
   echo "serve FAILED: expected exit 75 from the killed run, got $serve_rc" >&2
   exit 1
 fi
-python -m repro --quiet serve --resume --serve-dir "$serve_dir" \
-  > "$serve_resumed_out"
+python -m repro --quiet resume "$serve_dir" > "$serve_resumed_out"
 serve_fp="$(grep '^serve fingerprint=' "$serve_out")"
 resumed_serve_fp="$(grep '^serve fingerprint=' "$serve_resumed_out")"
 if [ -z "$serve_fp" ] || [ "$serve_fp" != "$resumed_serve_fp" ]; then
@@ -371,8 +376,7 @@ if [ "$invest_rc" -ne 75 ]; then
   echo "investigate FAILED: expected exit 75 from the killed fleet, got $invest_rc" >&2
   exit 1
 fi
-python -m repro --quiet investigate --resume --invest-dir "$invest_dir" \
-  > "$invest_resumed_out"
+python -m repro --quiet resume "$invest_dir" > "$invest_resumed_out"
 resumed_invest_fp="$(grep '^investigate fingerprint=' "$invest_resumed_out")"
 if [ "$serial_invest_fp" != "$resumed_invest_fp" ]; then
   echo "investigate FAILED: resumed fingerprint differs from uninterrupted run" >&2

@@ -18,14 +18,16 @@ Layers, bottom-up:
   config fingerprints.
 * :mod:`repro.checkpoint.state` — :class:`StateRegistry`: capture /
   diff / restore of every restorable run object under stable keys.
-* :mod:`repro.checkpoint.journal` — :class:`RunJournal`: the durable
-  manifest + WAL + snapshots, with truncate-to-valid-prefix recovery.
+* :mod:`repro.checkpoint.journal` — :class:`RunJournal`: the WAL +
+  snapshots, with truncate-to-valid-prefix recovery, in a
+  :mod:`repro.durable` directory (kind ``batch``).
 * :mod:`repro.checkpoint.session` — :class:`CheckpointSession`: the
   record/resume orchestration the pipeline talks to.
 * :mod:`repro.checkpoint.resume` — :func:`resume_pipeline`: rebuild a
   run from its manifest and finish it.
 """
 
+from ..durable import MANIFEST_NAME
 from .codec import (
     canonical_json,
     decode_exception,
@@ -34,31 +36,17 @@ from .codec import (
     encode_value,
     fingerprint,
 )
-from .journal import (
-    JOURNAL_FORMAT,
-    JOURNAL_NAME,
-    MANIFEST_NAME,
-    CheckpointWarning,
-    RunJournal,
-    code_fingerprint,
-)
+from .journal import JOURNAL_NAME, CheckpointWarning, RunJournal
 from .session import (
     NULL_CHECKPOINT,
     CheckpointSession,
     NullCheckpoint,
     ReplayedLookup,
-    build_manifest,
 )
 from .state import StateRegistry, build_state_registry
-from .resume import (
-    plan_from_manifest,
-    policy_from_manifest,
-    resume_pipeline,
-    scenario_from_manifest,
-)
+from .resume import resume_pipeline
 
 __all__ = [
-    "JOURNAL_FORMAT",
     "JOURNAL_NAME",
     "MANIFEST_NAME",
     "NULL_CHECKPOINT",
@@ -68,17 +56,12 @@ __all__ = [
     "ReplayedLookup",
     "RunJournal",
     "StateRegistry",
-    "build_manifest",
     "build_state_registry",
     "canonical_json",
-    "code_fingerprint",
     "decode_exception",
     "decode_value",
     "encode_exception",
     "encode_value",
     "fingerprint",
-    "plan_from_manifest",
-    "policy_from_manifest",
     "resume_pipeline",
-    "scenario_from_manifest",
 ]

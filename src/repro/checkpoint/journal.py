@@ -2,8 +2,8 @@
 
 Layout of a ``--checkpoint-dir``::
 
-    MANIFEST.json     run identity: format, scenario, config/fault/code
-                      fingerprints, execution policy, CLI argv
+    MANIFEST.json     the :mod:`repro.durable` manifest (kind ``batch``)
+                      plus the pipeline-config fingerprint
     journal.jsonl     the WAL: one JSON record per line, fsync'd per
                       append — ``barrier`` (stage done, snapshot ref +
                       full state), ``lookup`` (one enrichment outcome +
@@ -33,20 +33,25 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pickle
 import warnings
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-import repro
-
-from ..errors import CheckpointError, ConfigurationError, SimulatedCrash
+from ..durable import (
+    MANIFEST_NAME,
+    atomic_write_bytes,
+    atomic_write_json,
+    build_manifest,
+    claim,
+    fsync_file,
+    kill_point,
+    read_manifest,
+    read_pickle,
+)
 from .codec import canonical_json
 
-MANIFEST_NAME = "MANIFEST.json"
 JOURNAL_NAME = "journal.jsonl"
-JOURNAL_FORMAT = 1
 
 #: Record types a valid journal line may carry.
 RECORD_TYPES = ("barrier", "lookup", "complete")
@@ -54,49 +59,6 @@ RECORD_TYPES = ("barrier", "lookup", "complete")
 
 class CheckpointWarning(UserWarning):
     """A journal needed recovery (tail dropped) — resume is still exact."""
-
-
-_CODE_FINGERPRINT: Optional[str] = None
-
-
-def code_fingerprint() -> str:
-    """SHA-256 over every ``repro`` source file (path + bytes).
-
-    A journal written by different code must not be resumed: replay
-    equivalence assumes the resumed process computes exactly what the
-    crashed one would have. Computed once per process.
-    """
-    global _CODE_FINGERPRINT
-    if _CODE_FINGERPRINT is None:
-        package_root = Path(repro.__file__).resolve().parent
-        digest = hashlib.sha256()
-        for source in sorted(package_root.rglob("*.py")):
-            digest.update(str(source.relative_to(package_root)).encode())
-            digest.update(b"\0")
-            digest.update(source.read_bytes())
-            digest.update(b"\0")
-        _CODE_FINGERPRINT = digest.hexdigest()
-    return _CODE_FINGERPRINT
-
-
-def _fsync_file(handle) -> None:
-    handle.flush()
-    os.fsync(handle.fileno())
-
-
-def _fsync_dir(directory: Path) -> None:
-    # Directory fsync makes freshly-created files durable; not all
-    # platforms allow opening a directory — best-effort there.
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform-dependent
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - platform-dependent
-        pass
-    finally:
-        os.close(fd)
 
 
 def _validate_record(record: Any) -> bool:
@@ -118,10 +80,9 @@ def _validate_record(record: Any) -> bool:
 class RunJournal:
     """Append-only, fsync'd journal for one checkpointed pipeline run."""
 
-    def __init__(self, directory: Path, *, sync: bool = True,
+    def __init__(self, directory: Path, *,
                  kill_after_writes: Optional[int] = None):
         self.directory = Path(directory)
-        self.sync = sync
         self.kill_after_writes = kill_after_writes
         self.manifest: Optional[Dict[str, Any]] = None
         #: Records recovered from disk (resume mode); [] for a fresh run.
@@ -135,57 +96,18 @@ class RunJournal:
     # -- construction ---------------------------------------------------------
 
     @classmethod
-    def create(cls, directory, *, sync: bool = True,
+    def create(cls, directory, *,
                kill_after_writes: Optional[int] = None) -> "RunJournal":
         """Start a fresh journal in an empty (or new) directory."""
-        path = Path(directory)
-        if path.exists() and not path.is_dir():
-            raise ConfigurationError(
-                f"checkpoint dir {path} exists and is not a directory"
-            )
-        path.mkdir(parents=True, exist_ok=True)
-        if not os.access(path, os.W_OK):
-            raise ConfigurationError(f"checkpoint dir {path} is not writable")
-        existing = sorted(p.name for p in path.iterdir())
-        if existing:
-            if MANIFEST_NAME in existing:
-                raise ConfigurationError(
-                    f"checkpoint dir {path} already contains a run journal; "
-                    f"resume it with `repro resume --checkpoint-dir {path}` "
-                    f"or choose an empty directory"
-                )
-            raise ConfigurationError(
-                f"checkpoint dir {path} is not empty "
-                f"(found {', '.join(existing[:5])}); refusing to mix a run "
-                f"journal into unrelated files"
-            )
-        return cls(path, sync=sync, kill_after_writes=kill_after_writes)
+        return cls(claim(directory), kill_after_writes=kill_after_writes)
 
     @classmethod
-    def load(cls, directory, *, sync: bool = True) -> "RunJournal":
+    def load(cls, directory) -> "RunJournal":
         """Open an existing journal, recovering its longest valid prefix."""
-        path = Path(directory)
-        manifest_path = path / MANIFEST_NAME
-        if not manifest_path.is_file():
-            raise CheckpointError(
-                f"no run journal at {path}: {MANIFEST_NAME} is missing"
-            )
-        try:
-            manifest = json.loads(manifest_path.read_text())
-        except (OSError, ValueError) as exc:
-            raise CheckpointError(f"unreadable manifest at {manifest_path}: "
-                                  f"{exc}")
-        if not isinstance(manifest, dict) \
-                or manifest.get("format") != JOURNAL_FORMAT:
-            raise CheckpointError(
-                f"unsupported journal format "
-                f"{manifest.get('format') if isinstance(manifest, dict) else manifest!r} "
-                f"(this code writes format {JOURNAL_FORMAT})"
-            )
-        journal = cls(path, sync=sync)
-        journal.manifest = manifest
+        journal = cls(Path(directory))
+        journal.manifest = read_manifest(directory, kind="batch")
         journal.records, valid_bytes, dropped = journal._scan()
-        journal_path = path / JOURNAL_NAME
+        journal_path = journal.directory / JOURNAL_NAME
         if dropped:
             warnings.warn(
                 f"run journal {journal_path} needed recovery ({dropped}); "
@@ -196,7 +118,7 @@ class RunJournal:
             )
             with open(journal_path, "r+b") as handle:
                 handle.truncate(valid_bytes)
-                _fsync_file(handle)
+                fsync_file(handle)
             journal.recovered = True
         return journal
 
@@ -234,18 +156,11 @@ class RunJournal:
 
     # -- writes ---------------------------------------------------------------
 
-    def write_manifest(self, manifest: Dict[str, Any]) -> None:
-        payload = dict(manifest)
-        payload["format"] = JOURNAL_FORMAT
-        path = self.directory / MANIFEST_NAME
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True, default=str)
-            handle.write("\n")
-            if self.sync:
-                _fsync_file(handle)
-        if self.sync:
-            _fsync_dir(self.directory)
-        self.manifest = payload
+    def write_manifest(self, fields: Dict[str, Any]) -> None:
+        """Durably (re)write the ``batch`` manifest carrying ``fields``."""
+        manifest = build_manifest("batch", **fields)
+        atomic_write_json(self.directory / MANIFEST_NAME, manifest)
+        self.manifest = manifest
 
     def append(self, record: Dict[str, Any]) -> None:
         """Durably append one record; the harness's kill switch fires
@@ -254,43 +169,21 @@ class RunJournal:
         if self._handle is None:
             self._handle = open(self.directory / JOURNAL_NAME, "ab")
         self._handle.write(canonical_json(record).encode("utf-8") + b"\n")
-        if self.sync:
-            _fsync_file(self._handle)
+        fsync_file(self._handle)
         self.writes += 1
-        if (self.kill_after_writes is not None
-                and self.writes >= self.kill_after_writes):
-            raise SimulatedCrash(
-                f"journal kill-point: process death after write "
-                f"{self.writes}",
-                service="journal",
-                at_call=self.writes,
-            )
+        kill_point("journal", self.writes, self.kill_after_writes)
 
     def write_snapshot(self, name: str, payload: Any) -> Dict[str, Any]:
         """Durably write one pickled stage snapshot; returns the
         ``{file, sha256, bytes}`` reference its barrier record embeds."""
         raw = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        path = self.directory / name
-        with open(path, "wb") as handle:
-            handle.write(raw)
-            if self.sync:
-                _fsync_file(handle)
-        if self.sync:
-            _fsync_dir(self.directory)
+        atomic_write_bytes(self.directory / name, raw)
         return {"file": name, "sha256": hashlib.sha256(raw).hexdigest(),
                 "bytes": len(raw)}
 
     def load_snapshot(self, record: Dict[str, Any]) -> Any:
-        path = self.directory / record["file"]
-        try:
-            raw = path.read_bytes()
-        except OSError as exc:
-            raise CheckpointError(f"cannot read snapshot {path}: {exc}")
-        if hashlib.sha256(raw).hexdigest() != record["sha256"]:
-            raise CheckpointError(
-                f"snapshot {path} does not match its journaled checksum"
-            )
-        return pickle.loads(raw)
+        return read_pickle(self.directory / record["file"],
+                           expected_sha256=record["sha256"], kind="batch")
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -298,20 +191,3 @@ class RunJournal:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
-
-    @staticmethod
-    def read_manifest(directory) -> Dict[str, Any]:
-        """The manifest alone (for `repro resume`'s argv reconstruction)."""
-        manifest_path = Path(directory) / MANIFEST_NAME
-        if not manifest_path.is_file():
-            raise CheckpointError(
-                f"no run journal at {directory}: {MANIFEST_NAME} is missing"
-            )
-        try:
-            manifest = json.loads(manifest_path.read_text())
-        except (OSError, ValueError) as exc:
-            raise CheckpointError(f"unreadable manifest at {manifest_path}: "
-                                  f"{exc}")
-        if not isinstance(manifest, dict):
-            raise CheckpointError(f"malformed manifest at {manifest_path}")
-        return manifest

@@ -30,20 +30,21 @@ the pipeline carries no conditionals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
+from ..durable import execution_to_dict, faults_to_dict, scenario_to_dict
 from ..errors import CheckpointError, CheckpointMismatch
 from .codec import decode_value, encode_value, fingerprint
-from .journal import RunJournal, code_fingerprint
+from .journal import RunJournal
 from .state import StateRegistry
 
 #: Barrier stage names in pipeline order, mapped to snapshot filenames.
 STAGE_SNAPSHOTS = {"collection": "collection.pkl",
                    "curation": "curation.pkl"}
 
-#: Manifest keys that must match between a journal and a resume.
-_MANIFEST_IDENTITY = ("scenario", "pipeline_config", "faults", "execution",
-                      "code")
+#: Manifest keys that must match between a journal and a resume (the
+#: code fingerprint is checked when the manifest is read).
+_MANIFEST_IDENTITY = ("scenario", "pipeline_config", "faults", "execution")
 
 
 @dataclass(frozen=True)
@@ -55,30 +56,10 @@ class ReplayedLookup:
     gap: Optional[Dict[str, Any]] = None
 
 
-def build_manifest(scenario, config, fault_plan, policy,
-                   *, cli: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-    """The identity record binding a journal to exactly one run.
-
-    The fault section fingerprints the plan *minus crash points*: a
-    crashed run and its resume intentionally differ only in where the
-    injected crash lands, and that difference must not reject the
-    journal.
-    """
-    scenario_dict = {
-        "seed": scenario.seed,
-        "n_campaigns": scenario.n_campaigns,
-        "mean_campaign_volume": scenario.mean_campaign_volume,
-        "timeline_start": scenario.timeline_start.isoformat(),
-        "timeline_end": scenario.timeline_end.isoformat(),
-        "include_sbi_burst": scenario.include_sbi_burst,
-        "sbi_burst_volume": scenario.sbi_burst_volume,
-        "apk_campaign_fraction": scenario.apk_campaign_fraction,
-        "androzoo_corpus_size": scenario.androzoo_corpus_size,
-    }
-    survivable = fault_plan.without_crash_points() if fault_plan is not None \
-        else None
-    manifest: Dict[str, Any] = {
-        "scenario": scenario_dict,
+def _run_identity(scenario, config, fault_plan, policy) -> Dict[str, Any]:
+    """The manifest fields binding a journal to exactly one run."""
+    return {
+        "scenario": scenario_to_dict(scenario),
         "pipeline_config": fingerprint({
             "keywords": list(config.keywords),
             "windows": str(config.windows),
@@ -86,23 +67,9 @@ def build_manifest(scenario, config, fault_plan, policy,
             "evaluation_sample_size": config.evaluation_sample_size,
             "case_study_posts": config.case_study_posts,
         }),
-        "faults": {
-            "profile": survivable.profile if survivable is not None else None,
-            "seed": survivable.seed if survivable is not None else 0,
-            "rules": survivable.describe() if survivable is not None
-            else "none",
-        },
-        "execution": {
-            "workers": policy.workers,
-            "cache": policy.cache,
-            "cache_max_entries": policy.cache_max_entries,
-            "pool": policy.pool,
-        },
-        "code": code_fingerprint(),
+        "faults": faults_to_dict(fault_plan),
+        "execution": execution_to_dict(policy),
     }
-    if cli is not None:
-        manifest["cli"] = cli
-    return manifest
 
 
 def _manifest_mismatches(stored: Dict[str, Any],
@@ -163,7 +130,7 @@ class CheckpointSession:
         self.journal = journal
         self.mode = mode
         self._registry: Optional[StateRegistry] = None
-        self._cli: Optional[Dict[str, Any]] = None
+        self._argv: Sequence[str] = ()
         self._last_state: Dict[str, Dict[str, Any]] = {}
         self._restored_stages: List[str] = []
         self._barriers_written = 0
@@ -185,18 +152,17 @@ class CheckpointSession:
     # -- construction ---------------------------------------------------------
 
     @classmethod
-    def record(cls, directory, *, sync: bool = True,
-               kill_after_writes: Optional[int] = None,
-               cli: Optional[Dict[str, Any]] = None) -> "CheckpointSession":
-        session = cls(RunJournal.create(directory, sync=sync,
+    def record(cls, directory, *, kill_after_writes: Optional[int] = None,
+               argv: Sequence[str] = ()) -> "CheckpointSession":
+        session = cls(RunJournal.create(directory,
                                         kill_after_writes=kill_after_writes),
                       "record")
-        session._cli = cli
+        session._argv = argv
         return session
 
     @classmethod
-    def resume(cls, directory, *, sync: bool = True) -> "CheckpointSession":
-        return cls(RunJournal.load(directory, sync=sync), "resume")
+    def resume(cls, directory) -> "CheckpointSession":
+        return cls(RunJournal.load(directory), "resume")
 
     @property
     def manifest(self) -> Dict[str, Any]:
@@ -211,12 +177,11 @@ class CheckpointSession:
         """Couple the session to one concrete run: write the manifest
         (record) or verify the journal belongs to this run (resume)."""
         self._registry = registry
-        manifest = build_manifest(scenario, config, fault_plan, policy,
-                                  cli=self._cli)
+        identity = _run_identity(scenario, config, fault_plan, policy)
         if self.mode == "record":
-            self.journal.write_manifest(manifest)
+            self.journal.write_manifest({**identity, "argv": self._argv})
             return
-        problems = _manifest_mismatches(self.journal.manifest, manifest)
+        problems = _manifest_mismatches(self.journal.manifest, identity)
         if problems:
             raise CheckpointMismatch(
                 "refusing to resume: the journal was written by a "

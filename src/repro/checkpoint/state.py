@@ -16,10 +16,11 @@ the zero-duplicate-charge acceptance check measures.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Mapping, Optional
 
 from ..errors import CheckpointError
 from ..faults.proxy import FaultProxy
+from ..resilience import CircuitBreaker
 
 #: State keys use ``<kind>:<name>`` so a restore can route by prefix.
 CLOCK_KEY = "clock"
@@ -39,10 +40,12 @@ class StateRegistry:
     one (for restore).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, objects: Optional[Mapping[str, Any]] = None) -> None:
         self._objects: Dict[str, Any] = {}
         self._breaker_provider: Optional[Callable[[str], Any]] = None
         self._breakers_live: Optional[Callable[[], Dict[str, Any]]] = None
+        for key, obj in (objects or {}).items():
+            self.register(key, obj)
 
     def register(self, key: str, obj: Any) -> None:
         if not hasattr(obj, "state_dict") or not hasattr(obj, "restore_state"):
@@ -103,11 +106,14 @@ class StateRegistry:
                 )
 
 
-def build_state_registry(world, services, forums, enricher) -> StateRegistry:
+def build_state_registry(world, services, forums,
+                         breakers: Dict[str, CircuitBreaker],
+                         provide_breaker: Callable[[str], CircuitBreaker]
+                         ) -> StateRegistry:
     """Wire one run's restorable objects into a registry.
 
     ``services``/``forums`` must be the *post-fault-injection* containers
-    the pipeline actually calls through, so proxy call counters are seen.
+    the run actually calls through, so proxy call counters are seen.
     """
     registry = StateRegistry()
     registry.register(CLOCK_KEY, world.clock)
@@ -124,6 +130,5 @@ def build_state_registry(world, services, forums, enricher) -> StateRegistry:
         if isinstance(service_obj, FaultProxy):
             registry.register(
                 PROXY_PREFIX + service_obj.meter.service, service_obj)
-    registry.register_breakers(enricher._breaker,
-                               lambda: dict(enricher.breakers))
+    registry.register_breakers(provide_breaker, lambda: dict(breakers))
     return registry

@@ -19,15 +19,15 @@ Commands mirror the library's main workflows:
 * ``serve``    — drive the overload-safe report-intake service
   (``repro.serve``) under a deterministic simulated load: bounded
   queue, per-reporter rate limits, load shedding, degraded modes, and
-  (with ``--serve-dir``) a durable exactly-once session resumable via
-  ``repro serve --resume``.
+  (with ``--serve-dir``) a durable exactly-once session.
 * ``investigate`` — run a declarative playbook over every URL-bearing
   record as an investigation fleet (``repro.investigate``): funnel
   navigation through the simulated web hosts, per-campaign evidence
-  packages, and (with ``--invest-dir``) a durable charged phase
-  resumable via ``repro investigate --resume``.
-* ``resume``   — finish a crashed run: ``--checkpoint-dir`` for a batch
-  journal, ``--stream-dir`` for a stream session.
+  packages, and (with ``--invest-dir``) a durable charged phase.
+* ``resume DIR`` — finish a killed durable run of any kind
+  (``--checkpoint-dir``, ``--stream-dir``, ``--serve-dir`` or
+  ``--invest-dir``): the directory's manifest names the kind and the
+  command line to replay (:mod:`repro.durable`).
 
 Every command accepts ``--trace-out PATH`` to dump the run's full trace
 and metrics as JSON (``--trace-format chrome`` writes Chrome
@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import os
 import sys
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
@@ -62,21 +61,15 @@ from .analysis.campaign_mining import (
 from .analysis.figures import export_all_figures
 from .analysis.malware import build_table19, family_distribution_table
 from .analysis.report import generate_paper_report
-from .checkpoint import (
-    MANIFEST_NAME,
-    CheckpointSession,
-    RunJournal,
-    policy_from_manifest,
-    resume_pipeline,
-)
+from .checkpoint import CheckpointSession, resume_pipeline
 from .core.active import run_case_study
 from .core.anonymize import build_release, save_release
 from .core.pipeline import PipelineRun, run_pipeline
+from .durable import claim, policy_from_manifest, read_manifest, writable
 from .errors import CheckpointError, ConfigurationError, SimulatedCrash
 from .exec import POOL_KINDS, ExecutionPolicy
 from .faults import FAULT_PROFILES, CrashPoint, build_fault_plan
 from .investigate import (
-    INVESTIGATE_MANIFEST_NAME,
     PLAYBOOKS,
     fleet_fingerprint,
     run_investigation,
@@ -92,13 +85,12 @@ from .obs import (
 )
 from .serve import (
     LOAD_PROFILES,
-    SERVE_MANIFEST_NAME,
     IntakeService,
     LoadSpec,
     ServeConfig,
     serve_fingerprint,
 )
-from .stream import STREAM_MANIFEST_NAME, StreamSession
+from .stream import StreamSession
 from .world.adversarial import HOSTILE_PROFILES
 from .world.scenario import ScenarioConfig, build_world
 
@@ -123,36 +115,56 @@ def _parse_crash_at(spec: str) -> Tuple[str, int]:
     return service, at_call
 
 
-def _manifest_argv(args: argparse.Namespace) -> List[str]:
-    """The argv `repro resume` replays to rebuild this exact command."""
-    argv = ["--seed", str(args.seed), "--campaigns", str(args.campaigns),
-            "--faults", args.faults, "--workers", str(args.workers),
-            "--pool", args.pool]
-    if args.hostile != "none":
-        argv += ["--hostile", args.hostile]
-    if args.no_cache:
-        argv.append("--no-cache")
-    if getattr(args, "columnar", False):
-        argv.append("--columnar")
-    if args.quiet:
-        argv.append("--quiet")
-    if getattr(args, "profile", False):
-        argv.append("--profile")
-    if getattr(args, "history_dir", None) is not None:
-        argv += ["--history-dir", str(args.history_dir)]
-    argv.append(args.command)
-    if args.command in ("release", "figures"):
-        argv.append(str(args.output))
-    elif args.command == "casestudy":
-        argv += ["--sample", str(args.sample)]
-    elif args.command == "mine":
-        argv += ["--threshold", str(args.threshold), "--top", str(args.top)]
+#: Namespace entries a resume never replays: injected kills (a resumed
+#: run does not crash again) and the output knobs `repro resume` takes.
+_UNRECORDED = {"crash_at", "crash_epoch", "kill_at", "trace_out",
+               "trace_format", "command"}
+
+#: The attribute naming each command's durable directory; every other
+#: command journals to ``--checkpoint-dir``.
+_DIR_FLAGS = {"watch": "stream_dir", "ingest": "stream_dir",
+              "serve": "serve_dir", "investigate": "invest_dir",
+              "resume": "dir"}
+
+
+def _durable_dir(args: argparse.Namespace) -> Optional[Path]:
+    return getattr(args, _DIR_FLAGS.get(args.command, "checkpoint_dir"),
+                   None)
+
+
+def _resume_dir(args: argparse.Namespace) -> Optional[Path]:
+    """The directory `repro resume` is finishing, or None for a fresh run."""
+    return getattr(args, "_resume_dir", None)
+
+
+def _recorded_argv(args: argparse.Namespace) -> List[str]:
+    """The argv a durable manifest records; `repro resume` replays it
+    to rebuild this exact command."""
+    parser = build_parser()
+    return (_option_argv(parser, args) + [args.command]
+            + _option_argv(parser.commands[args.command], args))
+
+
+def _option_argv(parser: argparse.ArgumentParser,
+                 args: argparse.Namespace) -> List[str]:
+    argv: List[str] = []
+    for action in parser._actions:
+        value = getattr(args, action.dest, None)
+        if (action.dest in _UNRECORDED or action.default is argparse.SUPPRESS
+                or value is None or value is False):
+            continue
+        if not action.option_strings:
+            argv.append(str(value))
+        elif value is True:
+            argv.append(action.option_strings[0])
+        else:
+            argv += [action.option_strings[0], str(value)]
     return argv
 
 
 def _build_run(args: argparse.Namespace) -> PipelineRun:
     progress = None if args.quiet else stderr_sink
-    resume_dir = getattr(args, "_resume_dir", None)
+    resume_dir = _resume_dir(args)
 
     def _execute() -> PipelineRun:
         if resume_dir is not None:
@@ -175,7 +187,7 @@ def _build_run(args: argparse.Namespace) -> PipelineRun:
         checkpoint = None
         if args.checkpoint_dir is not None:
             checkpoint = CheckpointSession.record(
-                args.checkpoint_dir, cli={"argv": _manifest_argv(args)})
+                args.checkpoint_dir, argv=_recorded_argv(args))
         return run_pipeline(world, telemetry=telemetry,
                             fault_plan=fault_plan,
                             execution=execution, checkpoint=checkpoint)
@@ -214,8 +226,6 @@ def _run_config(args: argparse.Namespace) -> dict:
     }
     if args.hostile != "none":
         config["hostile"] = args.hostile
-    if getattr(args, "columnar", False):
-        config["columnar"] = True
     epochs = getattr(args, "epochs", None)
     if epochs is not None:
         config["epochs"] = epochs
@@ -294,7 +304,7 @@ def _write_trace(args: argparse.Namespace, run: PipelineRun) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     run = _build_run(args)
-    report = generate_paper_report(run, columnar=args.columnar)
+    report = generate_paper_report(run)
     print(report.render())
     return _write_trace(args, run)
 
@@ -380,30 +390,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return _write_trace(args, run)
 
 
-def _stream_argv(args: argparse.Namespace) -> List[str]:
-    """Provenance argv recorded in STREAM.json (resume rebuilds the
-    session from the manifest itself, not from this)."""
-    argv = ["--seed", str(args.seed), "--campaigns", str(args.campaigns),
-            "--faults", args.faults, "--workers", str(args.workers),
-            "--pool", args.pool]
-    if args.hostile != "none":
-        argv += ["--hostile", args.hostile]
-    if args.no_cache:
-        argv.append("--no-cache")
-    argv.append(args.command)
-    if getattr(args, "epochs", None) is not None:
-        argv += ["--epochs", str(args.epochs)]
-    if getattr(args, "epoch_hours", None) is not None:
-        argv += ["--epoch-hours", str(args.epoch_hours)]
-    if getattr(args, "stream_dir", None) is not None:
-        argv += ["--stream-dir", str(args.stream_dir)]
-    if getattr(args, "profile", False):
-        argv.append("--profile")
-    if getattr(args, "history_dir", None) is not None:
-        argv += ["--history-dir", str(args.history_dir)]
-    return argv
-
-
 def _telemetry_factory(args: argparse.Namespace):
     progress = None if args.quiet else stderr_sink
     return lambda world: Telemetry.create(clock=world.clock,
@@ -431,7 +417,7 @@ def _build_stream_session(args: argparse.Namespace,
         stream_dir=stream_dir,
         crash_at=crash,
         crash_epoch=getattr(args, "crash_epoch", None),
-        cli={"argv": _stream_argv(args)},
+        argv=_recorded_argv(args),
     )
 
 
@@ -469,7 +455,11 @@ def _print_stream(args: argparse.Namespace,
 
 
 def _cmd_watch(args: argparse.Namespace) -> int:
-    session = _build_stream_session(args, stream_dir=args.stream_dir)
+    if _resume_dir(args) is not None:
+        session = StreamSession.load(
+            _resume_dir(args), telemetry_factory=_telemetry_factory(args))
+    else:
+        session = _build_stream_session(args, stream_dir=args.stream_dir)
     _profiled_session_run(args, session, session.run)
     return _print_stream(args, session)
 
@@ -482,47 +472,10 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     return _print_stream(args, session)
 
 
-def _cmd_stream_resume(args: argparse.Namespace) -> int:
-    session = StreamSession.load(
-        args.stream_dir, telemetry_factory=_telemetry_factory(args))
-    if not args.quiet:
-        pending = session.scheduler.target - session.state.committed_epochs
-        print(f"resuming stream from {args.stream_dir} "
-              f"({pending} epoch(s) pending, "
-              f"{session.policy.describe()})", file=sys.stderr)
-    _profiled_session_run(args, session, session.run)
-    return _print_stream(args, session)
-
-
-def _serve_argv(args: argparse.Namespace) -> List[str]:
-    """Provenance argv recorded in SERVE.json (resume rebuilds the
-    service from the manifest itself, not from this)."""
-    argv = ["--seed", str(args.seed), "--campaigns", str(args.campaigns),
-            "--faults", args.faults, "--workers", str(args.workers),
-            "--pool", args.pool]
-    if args.hostile != "none":
-        argv += ["--hostile", args.hostile]
-    if args.no_cache:
-        argv.append("--no-cache")
-    argv += ["serve", "--load-profile", args.load_profile,
-             "--requests", str(args.requests),
-             "--reporters", str(args.reporters),
-             "--queue-capacity", str(args.queue_capacity),
-             "--batch-size", str(args.batch_size),
-             "--drain-interval", str(args.drain_interval),
-             "--commit-every", str(args.commit_every)]
-    if getattr(args, "serve_dir", None) is not None:
-        argv += ["--serve-dir", str(args.serve_dir)]
-    return argv
-
-
 def _build_serve(args: argparse.Namespace) -> IntakeService:
-    if getattr(args, "resume", False):
+    if _resume_dir(args) is not None:
         return IntakeService.load(
-            args.serve_dir,
-            telemetry_factory=_telemetry_factory(args),
-            kill_at=getattr(args, "kill_at", None),
-        )
+            _resume_dir(args), telemetry_factory=_telemetry_factory(args))
     return IntakeService.create(
         ScenarioConfig(seed=args.seed, n_campaigns=args.campaigns,
                        hostile=args.hostile),
@@ -537,9 +490,9 @@ def _build_serve(args: argparse.Namespace) -> IntakeService:
                                   cache=not args.no_cache,
                                   pool=args.pool),
         telemetry_factory=_telemetry_factory(args),
-        serve_dir=getattr(args, "serve_dir", None),
-        kill_at=getattr(args, "kill_at", None),
-        cli={"argv": _serve_argv(args)},
+        serve_dir=args.serve_dir,
+        kill_at=args.kill_at,
+        argv=_recorded_argv(args),
     )
 
 
@@ -603,11 +556,12 @@ def _cmd_investigate(args: argparse.Namespace) -> int:
         pool_kind=args.pool,
         fault_profile=args.faults,
         fault_seed=args.seed,
-        invest_dir=getattr(args, "invest_dir", None),
-        resume=getattr(args, "resume", False),
-        kill_at=getattr(args, "kill_at", None),
+        invest_dir=_resume_dir(args) or args.invest_dir,
+        resume=_resume_dir(args) is not None,
+        kill_at=args.kill_at,
         commit_every=args.commit_every,
         telemetry=telemetry,
+        argv=_recorded_argv(args),
     )
     report = outcome.report
     world = outcome.world
@@ -670,10 +624,6 @@ def _add_run_options(sub: argparse.ArgumentParser) -> None:
                      default=argparse.SUPPRESS,
                      help="pool backend for the parallel phases (process "
                           "= true multi-core for the pure precompute)")
-    sub.add_argument("--columnar", action="store_true",
-                     default=argparse.SUPPRESS,
-                     help="drive the strategy tables off the columnar "
-                          "dataset layout (byte-identical output)")
     sub.add_argument("--no-cache", action="store_true",
                      default=argparse.SUPPRESS,
                      help="disable the per-(service, subject) "
@@ -732,17 +682,13 @@ def build_parser() -> argparse.ArgumentParser:
                              "phases (default thread; process runs the "
                              "pure precompute in multiprocessing workers "
                              "— any choice is byte-identical)")
-    parser.add_argument("--columnar", action="store_true", default=False,
-                        help="drive the strategy tables off the columnar "
-                             "dataset layout (one batched normalisation "
-                             "pass; output is byte-identical)")
     parser.add_argument("--no-cache", action="store_true", default=False,
                         help="disable the per-(service, subject) "
                              "enrichment cache (on by default; caching "
                              "never changes results)")
     parser.add_argument("--checkpoint-dir", type=Path, default=None,
                         help="journal the run here for crash recovery "
-                             "(resume with `repro resume`)")
+                             "(resume with `repro resume DIR`)")
     parser.add_argument("--crash-at", metavar="SERVICE:CALL_INDEX",
                         default=None,
                         help="inject a hard crash at the Nth call to a "
@@ -761,6 +707,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "DIR/RUNS.jsonl (view trends with "
                              "`repro stats --history`)")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # name -> subparser, for _recorded_argv
 
     report = sub.add_parser("report", help="regenerate all tables/figures")
     report.set_defaults(func=_cmd_report)
@@ -815,8 +762,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "the global window into --epochs equal slices)")
     watch.add_argument("--stream-dir", type=Path, default=None,
                        help="persist watermarks, dedup ledger, and merged "
-                            "state here (resumable with `repro resume "
-                            "--stream-dir`)")
+                            "state here (resumable with `repro resume DIR`)")
     watch.add_argument("--crash-epoch", type=int, default=None,
                        help="which epoch --crash-at applies to (default 0)")
     watch.set_defaults(func=_cmd_watch)
@@ -874,10 +820,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "--serve-dir (default 500)")
     serve.add_argument("--serve-dir", type=Path, default=None,
                        help="persist the session here (resumable with "
-                            "`repro serve --resume --serve-dir DIR`)")
-    serve.add_argument("--resume", action="store_true", default=False,
-                       help="reopen an existing --serve-dir and finish its "
-                            "schedule from the last commit")
+                            "`repro resume DIR`)")
     serve.add_argument("--kill-at", type=int, default=None,
                        help="inject a hard crash before this arrival index "
                             "(testing aid for the resume protocol)")
@@ -898,11 +841,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   "URL-bearing records (default: all)")
     investigate.add_argument("--invest-dir", type=Path, default=None,
                              help="persist the charged phase here "
-                                  "(resumable with `repro investigate "
-                                  "--resume --invest-dir DIR`)")
-    investigate.add_argument("--resume", action="store_true", default=False,
-                             help="reopen an existing --invest-dir and "
-                                  "finish its scans from the last commit")
+                                  "(resumable with `repro resume DIR`)")
     investigate.add_argument("--kill-at", type=int, default=None,
                              help="inject a hard crash before this scan "
                                   "index (testing aid for the resume "
@@ -917,13 +856,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_options(investigate)
 
     resume = sub.add_parser(
-        "resume", help="finish a crashed checkpointed or stream run"
+        "resume", help="finish a killed batch, watch, serve or "
+                       "investigate run from its durable directory"
     )
-    resume.add_argument("--checkpoint-dir", type=Path, default=None,
-                        help="the journal directory of a crashed batch run")
-    resume.add_argument("--stream-dir", type=Path, default=None,
-                        help="the stream directory of a crashed "
-                             "`repro watch` run")
+    resume.add_argument("dir", type=Path, nargs="?", default=None,
+                        metavar="DIR",
+                        help="the --checkpoint-dir, --stream-dir, "
+                             "--serve-dir or --invest-dir of the run")
     resume.add_argument("--trace-out", type=Path, default=argparse.SUPPRESS,
                         help="write the resumed run's trace JSON here")
     resume.add_argument("--trace-format", choices=("json", "chrome"),
@@ -942,17 +881,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "DIR/RUNS.jsonl")
     resume.set_defaults(func=_cmd_resume)
     return parser
-
-
-def _writable_dir(path: Path) -> bool:
-    """Is ``path`` (or its nearest existing ancestor) writable?"""
-    probe = path
-    while not probe.exists():
-        parent = probe.parent
-        if parent == probe:
-            break
-        probe = parent
-    return os.access(probe, os.W_OK)
 
 
 def _validate_args(args: argparse.Namespace) -> None:
@@ -980,169 +908,68 @@ def _validate_args(args: argparse.Namespace) -> None:
             raise ConfigurationError(
                 f"--history-dir {history_dir} exists and is not a directory"
             )
-        if not getattr(args, "history", False) \
-                and not _writable_dir(history_dir):
+        if not getattr(args, "history", False) and not writable(history_dir):
             raise ConfigurationError(
                 f"--history-dir {history_dir} is not writable"
             )
-    checkpoint_dir = getattr(args, "checkpoint_dir", None)
-    stream_dir = getattr(args, "stream_dir", None)
-    if args.command == "serve":
-        serve_dir = getattr(args, "serve_dir", None)
-        if getattr(args, "resume", False):
-            if serve_dir is None:
-                raise ConfigurationError(
-                    "serve --resume wants --serve-dir DIR to reopen"
-                )
-            if not (serve_dir / SERVE_MANIFEST_NAME).is_file():
-                raise ConfigurationError(
-                    f"--serve-dir {serve_dir} has no {SERVE_MANIFEST_NAME}; "
-                    f"start one with `repro serve --serve-dir {serve_dir}`"
-                )
-        elif serve_dir is not None:
-            if (serve_dir / SERVE_MANIFEST_NAME).is_file():
-                raise ConfigurationError(
-                    f"--serve-dir {serve_dir} already holds a serve "
-                    f"session; finish it with `repro serve --resume "
-                    f"--serve-dir {serve_dir}`"
-                )
-            if not _writable_dir(serve_dir):
-                raise ConfigurationError(
-                    f"--serve-dir {serve_dir} is not writable"
-                )
-        if getattr(args, "kill_at", None) is not None and serve_dir is None:
-            raise ConfigurationError(
-                "serve --kill-at wants --serve-dir DIR (a kill without a "
-                "durable session loses the run)"
-            )
     if args.command == "investigate":
-        invest_dir = getattr(args, "invest_dir", None)
         if getattr(args, "sample", None) is not None and args.sample < 1:
             raise ConfigurationError(
                 f"investigate --sample must be >= 1, got {args.sample}"
             )
-        if getattr(args, "commit_every", 1) < 1:
+        if args.commit_every < 1:
             raise ConfigurationError(
                 f"investigate --commit-every must be >= 1, "
                 f"got {args.commit_every}"
             )
-        if getattr(args, "resume", False):
-            if invest_dir is None:
-                raise ConfigurationError(
-                    "investigate --resume wants --invest-dir DIR to reopen"
-                )
-            if not (invest_dir / INVESTIGATE_MANIFEST_NAME).is_file():
-                raise ConfigurationError(
-                    f"--invest-dir {invest_dir} has no "
-                    f"{INVESTIGATE_MANIFEST_NAME}; start one with "
-                    f"`repro investigate --invest-dir {invest_dir}`"
-                )
-        elif invest_dir is not None:
-            if (invest_dir / INVESTIGATE_MANIFEST_NAME).is_file():
-                raise ConfigurationError(
-                    f"--invest-dir {invest_dir} already holds an "
-                    f"investigation session; finish it with `repro "
-                    f"investigate --resume --invest-dir {invest_dir}`"
-                )
-            if not _writable_dir(invest_dir):
-                raise ConfigurationError(
-                    f"--invest-dir {invest_dir} is not writable"
-                )
-        if getattr(args, "kill_at", None) is not None and invest_dir is None:
-            raise ConfigurationError(
-                "investigate --kill-at wants --invest-dir DIR (a kill "
-                "without a durable session loses the run)"
-            )
-        evidence_dir = getattr(args, "evidence_dir", None)
-        if evidence_dir is not None and not _writable_dir(evidence_dir):
+        evidence_dir = args.evidence_dir
+        if evidence_dir is not None and not writable(evidence_dir):
             raise ConfigurationError(
                 f"--evidence-dir {evidence_dir} is not writable"
             )
-    if args.command == "resume":
-        if (checkpoint_dir is None) == (stream_dir is None):
-            raise ConfigurationError(
-                "resume wants exactly one of --checkpoint-dir (batch "
-                "journal) or --stream-dir (stream session)"
-            )
-    if args.command in ("watch", "ingest") and checkpoint_dir is not None:
+    if (args.command in ("watch", "ingest")
+            and getattr(args, "checkpoint_dir", None) is not None):
         raise ConfigurationError(
             f"`repro {args.command}` journals per-epoch under its "
             f"--stream-dir; --checkpoint-dir does not apply"
         )
-    if stream_dir is not None:
-        if args.command in ("ingest", "resume"):
-            if not (stream_dir / STREAM_MANIFEST_NAME).is_file():
-                raise ConfigurationError(
-                    f"--stream-dir {stream_dir} has no "
-                    f"{STREAM_MANIFEST_NAME}; start one with `repro watch "
-                    f"--stream-dir {stream_dir}`"
-                )
-        elif not _writable_dir(stream_dir):
-            raise ConfigurationError(
-                f"--stream-dir {stream_dir} is not writable"
-            )
-    if checkpoint_dir is None:
-        return
-    if args.command == "resume":
-        if not checkpoint_dir.is_dir():
-            raise ConfigurationError(
-                f"--checkpoint-dir {checkpoint_dir} is not a directory"
-            )
-        if not (checkpoint_dir / MANIFEST_NAME).is_file():
-            raise ConfigurationError(
-                f"--checkpoint-dir {checkpoint_dir} has no {MANIFEST_NAME}; "
-                f"nothing to resume"
-            )
-        return
-    if checkpoint_dir.exists() and not checkpoint_dir.is_dir():
+    directory = _durable_dir(args)
+    if getattr(args, "kill_at", None) is not None and directory is None:
+        flag = "--" + _DIR_FLAGS[args.command].replace("_", "-")
         raise ConfigurationError(
-            f"--checkpoint-dir {checkpoint_dir} exists and is not "
-            f"a directory"
+            f"{args.command} --kill-at wants {flag} DIR (a kill without a "
+            f"durable session loses the run)"
         )
-    if not _writable_dir(checkpoint_dir):
-        raise ConfigurationError(
-            f"--checkpoint-dir {checkpoint_dir} is not writable"
-        )
-    if checkpoint_dir.is_dir() and any(checkpoint_dir.iterdir()):
-        if (checkpoint_dir / MANIFEST_NAME).is_file():
-            raise ConfigurationError(
-                f"--checkpoint-dir {checkpoint_dir} already contains a "
-                f"run journal; use `repro resume --checkpoint-dir "
-                f"{checkpoint_dir}` to finish it"
-            )
-        raise ConfigurationError(
-            f"--checkpoint-dir {checkpoint_dir} is not empty"
-        )
+    if directory is not None and args.command not in ("ingest", "resume"):
+        claim(directory, create=False)
 
 
 def _cmd_resume(args: argparse.Namespace) -> int:
-    if getattr(args, "stream_dir", None) is not None:
-        return _cmd_stream_resume(args)
-    manifest = RunJournal.read_manifest(args.checkpoint_dir)
-    cli = manifest.get("cli") or {}
-    argv = cli.get("argv")
-    if not argv:
+    """Finish the killed run in ``DIR``: its manifest names the kind and
+    the argv to replay; the kind's command then reopens the directory."""
+    if args.dir is None:
         raise ConfigurationError(
-            f"journal at {args.checkpoint_dir} was not recorded by the "
-            f"CLI; resume it with repro.checkpoint.resume_pipeline()"
+            "resume wants the DIR of a killed durable run")
+    manifest = read_manifest(args.dir)
+    if not manifest["argv"]:
+        raise ConfigurationError(
+            f"the {manifest['kind']} run at {args.dir} was not started "
+            f"from the CLI; resume it through the library"
         )
-    new_args = build_parser().parse_args([str(a) for a in argv])
-    _validate_args(new_args)
-    new_args._resume_dir = args.checkpoint_dir
-    if getattr(args, "quiet", False):
-        new_args.quiet = True
-    if getattr(args, "trace_out", None) is not None:
-        new_args.trace_out = args.trace_out
+    new_args = build_parser().parse_args(manifest["argv"])
+    new_args._resume_dir = args.dir
+    for flag in ("quiet", "profile"):
+        if getattr(args, flag, False):
+            setattr(new_args, flag, True)
+    for option in ("trace_out", "history_dir"):
+        if getattr(args, option, None) is not None:
+            setattr(new_args, option, getattr(args, option))
     if getattr(args, "trace_format", "json") != "json":
         new_args.trace_format = args.trace_format
-    if getattr(args, "profile", False):
-        new_args.profile = True
-    if getattr(args, "history_dir", None) is not None:
-        new_args.history_dir = args.history_dir
     if not new_args.quiet:
-        policy = policy_from_manifest(manifest)
-        print(f"resuming run from {args.checkpoint_dir} "
-              f"({policy.describe()})", file=sys.stderr)
+        print(f"resuming {manifest['kind']} run from {args.dir} "
+              f"({policy_from_manifest(manifest).describe()})",
+              file=sys.stderr)
     return new_args.func(new_args)
 
 
@@ -1157,22 +984,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except SimulatedCrash as exc:
         print(f"repro: crashed: {exc}", file=sys.stderr)
-        stream_dir = getattr(args, "stream_dir", None)
-        checkpoint_dir = getattr(args, "checkpoint_dir", None)
-        serve_dir = getattr(args, "serve_dir", None)
-        invest_dir = getattr(args, "invest_dir", None)
-        if serve_dir is not None and args.command == "serve":
-            print(f"repro: resume with: repro serve --resume --serve-dir "
-                  f"{serve_dir}", file=sys.stderr)
-        elif invest_dir is not None and args.command == "investigate":
-            print(f"repro: resume with: repro investigate --resume "
-                  f"--invest-dir {invest_dir}", file=sys.stderr)
-        elif stream_dir is not None and args.command != "resume":
-            print(f"repro: resume with: repro resume --stream-dir "
-                  f"{stream_dir}", file=sys.stderr)
-        elif checkpoint_dir is not None and args.command != "resume":
-            print(f"repro: resume with: repro resume --checkpoint-dir "
-                  f"{checkpoint_dir}", file=sys.stderr)
+        directory = _durable_dir(args)
+        if directory is not None and args.command != "resume":
+            print(f"repro: resume with: repro resume {directory}",
+                  file=sys.stderr)
         return 75
 
 

@@ -36,7 +36,12 @@ from ..exec.pool import ProcessPool, SerialPool, WorkerPool, shard
 from ..net.tld import default_registry
 from ..obs import Telemetry, ensure_telemetry
 from ..net.url import Url
-from ..resilience import CircuitBreaker, RetryPolicy, call_with_policy
+from ..resilience import (
+    CircuitBreaker,
+    RetryPolicy,
+    breaker_provider,
+    call_with_policy,
+)
 from ..services.crtsh import CertSummary, CrtShService
 from ..services.gsb import GoogleSafeBrowsingService, GsbApiResult
 from ..services.hlr import HlrLookupService, HlrRecord
@@ -237,6 +242,8 @@ class Enricher:
         # the same one every service meter charges against.
         self._clock = services.hlr.meter.clock
         self.breakers: Dict[str, CircuitBreaker] = breakers if breakers is not None else {}
+        self._breaker = breaker_provider(self.breakers, self._clock,
+                                         self._telemetry.breaker_hook())
         # Optional execution-engine resources (see repro.exec): a
         # per-(service, subject) memo filled by the pure precompute phase
         # and consulted during the serial effects replay, plus the pool
@@ -262,16 +269,6 @@ class Enricher:
         self.deadline = deadline
 
     # -- resilience plumbing --------------------------------------------------
-
-    def _breaker(self, service: str) -> CircuitBreaker:
-        breaker = self.breakers.get(service)
-        if breaker is None:
-            breaker = CircuitBreaker(
-                service, self._clock,
-                observer=self._telemetry.breaker_hook(),
-            )
-            self.breakers[service] = breaker
-        return breaker
 
     def _on_retry(self, service: str, attempt: int, delay: float,
                   exc: ServiceError) -> None:

@@ -155,7 +155,9 @@ def run_pipeline(
     )
     if checkpoint.active:
         checkpoint.bind(
-            registry=build_state_registry(world, services, forums, enricher),
+            registry=build_state_registry(world, services, forums,
+                                          enricher.breakers,
+                                          enricher._breaker),
             scenario=world.config, config=config, fault_plan=fault_plan,
             policy=policy,
         )

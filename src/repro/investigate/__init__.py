@@ -65,19 +65,10 @@ from .playbook import (
     PlaybookStep,
     get_playbook,
 )
-from .session import (
-    INVESTIGATE_FORMAT_VERSION,
-    INVESTIGATE_MANIFEST_NAME,
-    INVESTIGATE_STATE_NAME,
-    InvestigationSession,
-    registry_keys,
-)
+from .session import InvestigationSession, registry_keys
 
 __all__ = [
     "EVIDENCE_FORMAT_VERSION",
-    "INVESTIGATE_FORMAT_VERSION",
-    "INVESTIGATE_MANIFEST_NAME",
-    "INVESTIGATE_STATE_NAME",
     "PLAYBOOKS",
     "STEP_OPS",
     "SYNTHETIC_PII",

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from ..stream.persist import atomic_write_json
+from ..durable import atomic_write_json
 
 #: Bumped when the package layout changes incompatibly.
 EVIDENCE_FORMAT_VERSION = 1

@@ -38,7 +38,8 @@ from ..checkpoint.state import (
 from ..core.active import CaseStudyReport
 from ..core.dataset import SmishingDataset, SmishingRecord
 from ..core.pipeline import _observed_meters
-from ..errors import ServiceError, SimulatedCrash
+from ..durable import kill_point
+from ..errors import ServiceError
 from ..exec import make_pool, shard
 from ..faults import FaultPlan
 from ..faults.proxy import FaultProxy, wrap_if_planned
@@ -289,13 +290,7 @@ class InvestigationFleet:
                     for index, sha in enumerate(shas):
                         if index < len(scan_results):
                             continue  # committed by the crashed run
-                        if kill_at is not None and index == kill_at:
-                            raise SimulatedCrash(
-                                f"investigate: injected kill before "
-                                f"scan {index}",
-                                service="investigate",
-                                at_call=index,
-                            )
+                        kill_point("investigate", index, kill_at)
                         verdict = self._scan_one(virustotal, breaker, sha)
                         scan_results.append((sha, verdict, clock.now))
                         if session is not None:

@@ -23,10 +23,12 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Sequence
 
 from ..core.pipeline import run_pipeline
+from ..durable import execution_to_dict, scenario_from_dict, scenario_to_dict
 from ..errors import SimulatedCrash
+from ..exec import ExecutionPolicy
 from ..faults import build_fault_plan
 from ..obs import Telemetry
 from ..world.scenario import ScenarioConfig, World, build_world
@@ -107,6 +109,7 @@ def run_investigation(
     kill_at: Optional[int] = None,
     commit_every: int = 1,
     telemetry: Optional[Telemetry] = None,
+    argv: Sequence[str] = (),
 ) -> InvestigationOutcome:
     """Scenario → world → pipeline → investigation fleet, end to end.
 
@@ -114,16 +117,15 @@ def run_investigation(
     reopens a crashed directory (run parameters come from its manifest,
     not the arguments). ``kill_at`` injects a crash before that scan
     index — it propagates :class:`~repro.errors.SimulatedCrash` after
-    the last commit, leaving the directory resumable.
+    the last commit, leaving the directory resumable. ``argv`` is the
+    command line recorded in the session manifest.
     """
-    from ..stream.runner import _scenario_from_dict, _scenario_to_dict
-
     session: Optional[InvestigationSession] = None
     if resume:
         if invest_dir is None:
             raise ValueError("resume requires invest_dir")
         session = InvestigationSession.load(invest_dir)
-        scenario = _scenario_from_dict(session.scenario)
+        scenario = scenario_from_dict(session.scenario)
         playbook = session.playbook
         sample = session.sample
         fault_profile = session.fault_profile
@@ -133,12 +135,15 @@ def run_investigation(
         if invest_dir is not None:
             session = InvestigationSession.create(
                 invest_dir,
-                scenario=_scenario_to_dict(scenario),
+                scenario=scenario_to_dict(scenario),
                 playbook=playbook,
                 sample=sample,
                 commit_every=commit_every,
                 fault_profile=fault_profile,
                 fault_seed=fault_seed,
+                execution=execution_to_dict(
+                    ExecutionPolicy(workers=workers, pool=pool_kind)),
+                argv=argv,
             )
 
     plan = build_fault_plan(fault_profile or "none", seed=fault_seed)

@@ -2,15 +2,16 @@
 
 The charged half of a fleet run — one VirusTotal file submission per
 unique payload hash — is the only part worth journaling: probes are pure
-and free to recompute. A session directory holds:
+and free to recompute. A session directory is a :mod:`repro.durable`
+directory of kind ``investigate``:
 
-* ``INVESTIGATE.json`` — the manifest: scenario, playbook, sample,
-  fault profile, and (once the first commit lands) a digest-bound
-  reference to the state file. Written atomically before any charged
-  work, so a kill at any instant leaves a resumable directory.
-* ``state.pkl`` — the pickled state: completed scan results (hash,
-  verdict, simulated completion time) plus the restorable-state registry
-  (clock, VirusTotal meter, circuit breaker, fault-proxy counter).
+* ``MANIFEST.json`` — scenario, playbook, sample, fault profile, and
+  (once the first commit lands) the digest of the state file. Written
+  atomically before any charged work, so a kill at any instant leaves a
+  resumable directory.
+* ``state.pkl`` — the completed scan results (hash, verdict, simulated
+  completion time) plus the restorable-state registry (clock,
+  VirusTotal meter, circuit breaker, fault-proxy counter).
 
 Resume rebuilds the world and pipeline from the manifest's scenario
 (deterministic), re-runs the free probe phase, restores the registry to
@@ -21,26 +22,26 @@ total charges across crash + resume equal an uninterrupted run's.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..checkpoint.state import (
     BREAKER_PREFIX,
     CLOCK_KEY,
     METER_PREFIX,
     PROXY_PREFIX,
+    StateRegistry,
 )
-from ..errors import CheckpointError, ConfigurationError
-from ..services.euphony import FamilyVerdict
-from ..stream.persist import (
+from ..durable import (
+    MANIFEST_NAME,
+    STATE_NAME,
     atomic_write_json,
     atomic_write_pickle,
-    read_json,
-    read_pickle,
+    build_manifest,
+    claim,
+    load_state,
+    read_manifest,
 )
-
-INVESTIGATE_MANIFEST_NAME = "INVESTIGATE.json"
-INVESTIGATE_STATE_NAME = "state.pkl"
-INVESTIGATE_FORMAT_VERSION = 1
+from ..services.euphony import FamilyVerdict
 
 #: One completed charged scan: ``(sha256, verdict-or-None, sim_time)``.
 #: ``verdict`` of None records a scan gap (the service never answered).
@@ -57,9 +58,11 @@ class InvestigationSession:
         scenario: Dict[str, Any],
         playbook: str,
         sample: Optional[int],
-        commit_every: int,
-        fault_profile: Optional[str],
-        fault_seed: int,
+        commit_every: int = 1,
+        fault_profile: Optional[str] = None,
+        fault_seed: int = 0,
+        execution: Optional[Dict[str, Any]] = None,
+        argv: Sequence[str] = (),
     ):
         self.directory = Path(directory)
         self.scenario = scenario
@@ -68,6 +71,8 @@ class InvestigationSession:
         self.commit_every = max(1, int(commit_every))
         self.fault_profile = fault_profile or "none"
         self.fault_seed = int(fault_seed)
+        self.execution = execution
+        self.argv = list(argv)
         self.resuming = False
         #: Committed charged work, restored on load.
         self.scan_results: List[ScanResult] = []
@@ -77,72 +82,33 @@ class InvestigationSession:
     # -- lifecycle ------------------------------------------------------------
 
     @classmethod
-    def create(
-        cls,
-        directory: Path,
-        *,
-        scenario: Dict[str, Any],
-        playbook: str,
-        sample: Optional[int],
-        commit_every: int = 1,
-        fault_profile: Optional[str] = None,
-        fault_seed: int = 0,
-    ) -> "InvestigationSession":
-        directory = Path(directory)
-        manifest = directory / INVESTIGATE_MANIFEST_NAME
-        if manifest.exists():
-            raise ConfigurationError(
-                f"{directory} already holds an investigation session; "
-                f"pass --resume to continue it"
-            )
-        session = cls(
-            directory,
-            scenario=scenario,
-            playbook=playbook,
-            sample=sample,
-            commit_every=commit_every,
-            fault_profile=fault_profile,
-            fault_seed=fault_seed,
-        )
-        directory.mkdir(parents=True, exist_ok=True)
+    def create(cls, directory: Path, **fields: Any) -> "InvestigationSession":
+        """Start a session in a missing or empty directory; ``fields``
+        are the constructor's keywords."""
+        session = cls(claim(directory), **fields)
         # Persist before any charged work: a kill during the very first
         # scan must still leave a loadable session behind.
-        session._persist_manifest(state_ref=None)
+        session._persist_manifest(state_sha256=None)
         return session
 
     @classmethod
     def load(cls, directory: Path) -> "InvestigationSession":
-        directory = Path(directory)
-        manifest_path = directory / INVESTIGATE_MANIFEST_NAME
-        if not manifest_path.exists():
-            raise CheckpointError(
-                f"{directory} holds no {INVESTIGATE_MANIFEST_NAME}; "
-                f"nothing to resume"
-            )
-        manifest = read_json(manifest_path)
-        version = manifest.get("format_version")
-        if version != INVESTIGATE_FORMAT_VERSION:
-            raise CheckpointError(
-                f"investigation session format {version!r} is not "
-                f"supported (expected {INVESTIGATE_FORMAT_VERSION})"
-            )
-        faults = manifest.get("faults") or {}
+        manifest = read_manifest(directory, kind="investigate")
+        faults = manifest["faults"]
         session = cls(
             directory,
             scenario=manifest["scenario"],
             playbook=manifest["playbook"],
-            sample=manifest.get("sample"),
-            commit_every=manifest.get("commit_every", 1),
-            fault_profile=faults.get("profile"),
-            fault_seed=faults.get("seed", 0),
+            sample=manifest["sample"],
+            commit_every=manifest["commit_every"],
+            fault_profile=faults["profile"],
+            fault_seed=faults["seed"],
+            execution=manifest["execution"],
+            argv=manifest["argv"],
         )
         session.resuming = True
-        state_ref = manifest.get("state_ref")
-        if state_ref:
-            payload = read_pickle(
-                directory / state_ref["state_file"],
-                expected_sha256=state_ref["state_sha256"],
-            )
+        payload = load_state(directory, manifest)
+        if payload is not None:
             session.scan_results = list(payload["scan_results"])
             session._registry_state = dict(payload["registry"])
         return session
@@ -154,68 +120,48 @@ class InvestigationSession:
         """How many sorted payload hashes are already committed."""
         return len(self.scan_results)
 
-    def restore(self, registry: Dict[str, Any]) -> None:
+    def restore(self, registry: Mapping[str, Any]) -> None:
         """Put every restorable object back to the crash-time instant.
 
         ``registry`` maps state keys to live objects (clock, meter,
-        breaker, proxy). Journaled proxy state with no live counterpart
-        is dropped (the resumed plan may leave the service unwrapped);
-        any other unknown key means the directory does not belong to
-        this run shape.
+        breaker, proxy); see :class:`~repro.checkpoint.StateRegistry`
+        for which unknown keys are dropped and which are refused.
         """
-        for key, state in self._registry_state.items():
-            obj = registry.get(key)
-            if obj is not None:
-                obj.restore_state(state)
-            elif key.startswith(PROXY_PREFIX):
-                continue
-            else:
-                raise CheckpointError(
-                    f"investigation state carries unknown key {key!r}; "
-                    f"the session does not match this run"
-                )
+        StateRegistry(registry).restore(self._registry_state)
 
     def maybe_commit(self, scan_results: List[ScanResult],
-                     registry: Dict[str, Any]) -> None:
+                     registry: Mapping[str, Any]) -> None:
         """Commit when the configured granularity says so."""
         if len(scan_results) % self.commit_every == 0:
             self.commit(scan_results, registry)
 
     def commit(self, scan_results: List[ScanResult],
-               registry: Dict[str, Any]) -> None:
+               registry: Mapping[str, Any]) -> None:
         """Durably record completed scans plus restorable state."""
         payload = {
             "scan_results": list(scan_results),
-            "registry": {key: obj.state_dict()
-                         for key, obj in registry.items()},
+            "registry": StateRegistry(registry).capture(),
         }
-        digest = atomic_write_pickle(
-            self.directory / INVESTIGATE_STATE_NAME, payload
-        )
-        self._persist_manifest(state_ref={
-            "state_file": INVESTIGATE_STATE_NAME,
-            "state_sha256": digest,
-        })
+        digest = atomic_write_pickle(self.directory / STATE_NAME, payload)
+        self._persist_manifest(state_sha256=digest)
         self._commits += 1
 
     @property
     def commits(self) -> int:
         return self._commits
 
-    def _persist_manifest(self,
-                          state_ref: Optional[Dict[str, str]]) -> None:
-        atomic_write_json(self.directory / INVESTIGATE_MANIFEST_NAME, {
-            "format_version": INVESTIGATE_FORMAT_VERSION,
-            "scenario": self.scenario,
-            "playbook": self.playbook,
-            "sample": self.sample,
-            "commit_every": self.commit_every,
-            "faults": {
-                "profile": self.fault_profile,
-                "seed": self.fault_seed,
-            },
-            "state_ref": state_ref,
-        })
+    def _persist_manifest(self, *, state_sha256: Optional[str]) -> None:
+        atomic_write_json(self.directory / MANIFEST_NAME, build_manifest(
+            "investigate",
+            scenario=self.scenario,
+            faults={"profile": self.fault_profile, "seed": self.fault_seed},
+            execution=self.execution,
+            argv=self.argv,
+            state_sha256=state_sha256,
+            playbook=self.playbook,
+            sample=self.sample,
+            commit_every=self.commit_every,
+        ))
 
 
 def registry_keys(*, proxied: bool) -> Tuple[str, ...]:

@@ -90,11 +90,10 @@ def squash(text: str) -> str:
     return "".join(ch for ch in normalize_text(text) if ch.isalnum())
 
 
-# -- batched (columnar) normalisation ----------------------------------------
+# -- batched normalisation ----------------------------------------------------
 #
-# Per-record `squash` dominates the analysis hot path: ten-thousand-plus
-# calls each pay the regex-engine entry cost and re-normalise tokens the
-# corpus repeats endlessly ("your", "parcel", brand names). The batch
+# Per-record `squash` pays the regex-engine entry cost and re-normalises
+# tokens a corpus repeats endlessly ("your", "parcel", brand names). The batch
 # variants below make ONE compiled-regex pass over the whole corpus
 # joined on a sentinel, memoising normalize_token per distinct token —
 # and are proven token-for-token identical to the per-record functions

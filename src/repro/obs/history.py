@@ -34,11 +34,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
+from ..durable import atomic_write_bytes, fsync_file
 from ..utils.tables import Table
 from .profile import build_profile
 
@@ -172,19 +172,13 @@ class RunHistory:
         line = json.dumps(record, sort_keys=True, default=str)
         if len(records) + 1 > self.max_entries:
             kept = (records + [record])[-self.max_entries:]
-            tmp = self.path.with_suffix(".jsonl.tmp")
-            with open(tmp, "w", encoding="utf-8") as handle:
-                for kept_record in kept:
-                    handle.write(json.dumps(kept_record, sort_keys=True,
-                                            default=str) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, self.path)
+            atomic_write_bytes(self.path, "".join(
+                json.dumps(kept_record, sort_keys=True, default=str) + "\n"
+                for kept_record in kept).encode("utf-8"))
         else:
             with open(self.path, "a", encoding="utf-8") as handle:
                 handle.write(line + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
+                fsync_file(handle)
         return record
 
     def latest(self) -> Optional[Dict[str, Any]]:

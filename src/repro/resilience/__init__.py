@@ -14,7 +14,12 @@ ceasing operations, hard API quotas). It splits into two layers:
 Everything is deterministic: same seed, same fault plan, same schedule.
 """
 
-from .breaker import BreakerObserver, BreakerState, CircuitBreaker
+from .breaker import (
+    BreakerObserver,
+    BreakerState,
+    CircuitBreaker,
+    breaker_provider,
+)
 from .retry import RetryPolicy, RetryObserver, breaker_counts, call_with_policy
 
 __all__ = [
@@ -24,5 +29,6 @@ __all__ = [
     "RetryPolicy",
     "RetryObserver",
     "breaker_counts",
+    "breaker_provider",
     "call_with_policy",
 ]

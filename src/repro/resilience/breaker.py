@@ -175,3 +175,17 @@ class CircuitBreaker:
         self._opened_at = self.clock.now
         self._opens += 1
         self._emit("open")
+
+
+def breaker_provider(breakers: Dict[str, CircuitBreaker], clock,
+                     observer: Optional[BreakerObserver] = None
+                     ) -> Callable[[str], CircuitBreaker]:
+    """Create-or-return the breaker for a service in ``breakers`` — how
+    an enricher creates its breakers lazily and a resumed session
+    recreates the ones its committed state knew about."""
+    def provide(service: str) -> CircuitBreaker:
+        if service not in breakers:
+            breakers[service] = CircuitBreaker(service, clock,
+                                               observer=observer)
+        return breakers[service]
+    return provide

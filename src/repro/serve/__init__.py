@@ -26,7 +26,6 @@ from .load import LOAD_PROFILES, Arrival, LoadSpec, generate_schedule
 from .queue import BoundedQueue, QueueItem
 from .service import (
     FRONT_DOOR_REASONS,
-    SERVE_MANIFEST_NAME,
     IntakeService,
     Request,
     Response,
@@ -51,7 +50,6 @@ __all__ = [
     "ReporterBucket",
     "Request",
     "Response",
-    "SERVE_MANIFEST_NAME",
     "ServeConfig",
     "ServeMode",
     "ServeState",

@@ -25,7 +25,8 @@ Durability follows the stream layer's commit discipline: every
 ``commit_every`` arrivals (and at drain), the full service state —
 dataset, queue contents, admission buckets, controller history, dedup
 ledger, and the clock/meter/breaker/fault-proxy registry — is pickled
-under a sha-bound ``SERVE.json`` manifest. A killed server resumes from
+under the sha-bound manifest of a :mod:`repro.durable` directory (kind
+``serve``). A killed server resumes from
 the last commit and *replays* the deterministic schedule from there:
 in-memory effects past the commit died with the process, the restored
 meters re-charge identically, and the final state is byte-equal to an
@@ -38,14 +39,9 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
-from ..checkpoint.state import (
-    BREAKER_PREFIX,
-    CLOCK_KEY,
-    METER_PREFIX,
-    PROXY_PREFIX,
-)
+from ..checkpoint.state import build_state_registry
 from ..core.collection import _report_from_post
 from ..core.config import PipelineConfig
 from ..core.curation import Curator
@@ -53,16 +49,30 @@ from ..core.dataset import SmishingDataset
 from ..core.quarantine import Sanitizer
 from ..core.enrichment import Enricher, EnrichedDataset
 from ..core.pipeline import _observed_meters, build_enrichment_services
-from ..errors import CheckpointError, ConfigurationError, SimulatedCrash
+from ..durable import (
+    MANIFEST_NAME,
+    STATE_NAME,
+    atomic_write_json,
+    atomic_write_pickle,
+    build_manifest,
+    claim,
+    execution_to_dict,
+    faults_to_dict,
+    kill_point,
+    load_state,
+    plan_from_manifest,
+    policy_from_manifest,
+    read_manifest,
+    scenario_from_dict,
+    scenario_to_dict,
+)
+from ..errors import ConfigurationError
 from ..exec import ExecutionEngine, ExecutionPolicy
-from ..faults import FaultPlan, FaultProxy, build_fault_plan, inject_faults
+from ..faults import FaultPlan, inject_faults
 from ..imaging.vision_openai import OpenAiVisionExtractor
 from ..obs import Telemetry, ensure_telemetry
-from ..resilience import CircuitBreaker, RetryPolicy
+from ..resilience import CircuitBreaker, RetryPolicy, breaker_provider
 from ..stream.ledger import DedupLedger
-from ..stream.persist import atomic_write_json, atomic_write_pickle, \
-    read_json, read_pickle
-from ..stream.runner import _scenario_from_dict, _scenario_to_dict
 from ..utils.rng import derive
 from ..world.scenario import ScenarioConfig, World, build_world
 from .admission import AdmissionController, AdmissionPolicy
@@ -70,11 +80,6 @@ from .degrade import DegradationController, ServeMode
 from .load import Arrival, LoadSpec, generate_schedule
 from .queue import BoundedQueue, QueueItem
 from .state import ServeState
-
-#: The serve directory's manifest file name.
-SERVE_MANIFEST_NAME = "SERVE.json"
-SERVE_STATE_NAME = "state.pkl"
-SERVE_FORMAT_VERSION = 1
 
 #: Front-door rejection reasons (vs ``deadline``, which is post-accept).
 FRONT_DOOR_REASONS = ("rate_limited", "queue_full", "shedding", "draining")
@@ -158,7 +163,7 @@ class IntakeService:
                  telemetry: Optional[Telemetry] = None,
                  serve_dir: Optional[Path] = None,
                  kill_at: Optional[int] = None,
-                 cli: Optional[Dict[str, Any]] = None):
+                 argv: Sequence[str] = ()):
         self.world = world
         self.clock = world.clock
         self.load = load
@@ -168,7 +173,7 @@ class IntakeService:
         self.telemetry.tracer.bind_clock(world.clock)
         self.serve_dir = Path(serve_dir) if serve_dir is not None else None
         self._kill_at = kill_at
-        self._cli = dict(cli) if cli else {}
+        self._argv = list(argv)
         self._plan = (fault_plan.without_crash_points()
                       if fault_plan is not None else None)
         if (self.serve_dir is not None and self._plan is not None
@@ -246,13 +251,15 @@ class IntakeService:
                telemetry_factory=None,
                serve_dir: Optional[Path] = None,
                kill_at: Optional[int] = None,
-               cli: Optional[Dict[str, Any]] = None) -> "IntakeService":
+               argv: Sequence[str] = ()) -> "IntakeService":
         """Start a fresh service (``repro serve``).
 
-        With a ``serve_dir`` the directory must not already hold a
-        session; the manifest is persisted before the first arrival so
-        even an immediate crash leaves a resumable directory.
+        With a ``serve_dir`` the directory must be missing or empty; the
+        manifest is persisted before the first arrival so even an
+        immediate crash leaves a resumable directory.
         """
+        if serve_dir is not None:
+            claim(serve_dir)
         scenario = scenario or ScenarioConfig()
         world = build_world(scenario)
         spec = load or LoadSpec(seed=scenario.seed)
@@ -260,17 +267,9 @@ class IntakeService:
                      else None)
         service = cls(world, load=spec, config=config, fault_plan=fault_plan,
                       execution=execution, telemetry=telemetry,
-                      serve_dir=serve_dir, kill_at=kill_at, cli=cli)
+                      serve_dir=serve_dir, kill_at=kill_at, argv=argv)
         if service.serve_dir is not None:
-            manifest = service.serve_dir / SERVE_MANIFEST_NAME
-            if manifest.exists():
-                raise ConfigurationError(
-                    f"{service.serve_dir} already holds a serve session; "
-                    f"continue it with `repro serve --resume --serve-dir "
-                    f"{service.serve_dir}`"
-                )
-            service.serve_dir.mkdir(parents=True, exist_ok=True)
-            service._persist_manifest(state_ref=None)
+            service._persist_manifest(state_sha256=None)
         return service
 
     @classmethod
@@ -286,97 +285,46 @@ class IntakeService:
         inherited: a resume only crashes again if *this* call asks to.
         """
         serve_dir = Path(serve_dir)
-        manifest_path = serve_dir / SERVE_MANIFEST_NAME
-        if not manifest_path.is_file():
-            raise ConfigurationError(
-                f"{serve_dir} holds no {SERVE_MANIFEST_NAME}; nothing to "
-                f"resume"
-            )
-        manifest = read_json(manifest_path)
-        if manifest.get("version") != SERVE_FORMAT_VERSION:
-            raise CheckpointError(
-                f"serve manifest version {manifest.get('version')!r} is "
-                f"not supported (want {SERVE_FORMAT_VERSION})"
-            )
-        scenario = _scenario_from_dict(manifest["scenario"])
-        world = build_world(scenario)
-        faults = manifest.get("faults") or {}
-        fault_plan = None
-        if faults.get("profile"):
-            fault_plan = build_fault_plan(faults["profile"],
-                                          seed=int(faults["seed"]))
+        manifest = read_manifest(serve_dir, kind="serve")
+        world = build_world(scenario_from_dict(manifest["scenario"]))
         telemetry = (telemetry_factory(world) if telemetry_factory is not None
                      else None)
         service = cls(
             world,
             load=LoadSpec.from_dict(manifest["load"]),
             config=ServeConfig.from_dict(manifest["config"]),
-            fault_plan=fault_plan,
-            execution=ExecutionPolicy(**manifest["execution"]),
+            fault_plan=plan_from_manifest(manifest),
+            execution=policy_from_manifest(manifest),
             telemetry=telemetry,
             serve_dir=serve_dir,
             kill_at=kill_at,
-            cli=manifest.get("cli") or {},
+            argv=manifest["argv"],
         )
-        if manifest.get("state_file"):
-            payload = read_pickle(
-                serve_dir / manifest["state_file"],
-                expected_sha256=manifest.get("state_sha256", ""),
-            )
+        payload = load_state(serve_dir, manifest)
+        if payload is not None:
             service.state = ServeState.from_payload(payload["state"])
             service.admission.rejections = service.state.rejections
             service.admission.restore_state(payload["admission"])
             service.controller.restore_state(payload["controller"])
             service.queue.restore_state(payload["queue"])
             service.ledger = DedupLedger.from_dict(payload["ledger"])
-            if payload.get("sanitizer"):
-                service._sanitizer.restore_state(payload["sanitizer"])
+            service._sanitizer.restore_state(payload["sanitizer"])
             service._next_due = payload["next_due"]
             if service.cache is not None:
-                service.cache.seed(payload.get("cache_entries", ()))
-            service._restore_registry(payload.get("registry_state", {}))
+                service.cache.seed(payload["cache_entries"])
+            service._registry().restore(payload["registry_state"])
         return service
 
-    # -- the registry: clock, meters, breakers, fault proxies -----------------
-
-    def _registry_objects(self) -> Dict[str, Any]:
-        objects: Dict[str, Any] = {CLOCK_KEY: self.clock}
-        for name, meter in self.services.meters().items():
-            objects[METER_PREFIX + name] = meter
-        for name, breaker in self.breakers.items():
-            objects[BREAKER_PREFIX + name] = breaker
-        # Serve wraps services once for its whole lifetime, so proxy
-        # call counters are continuous session state (unlike stream's
-        # per-epoch proxies) and must survive a resume for call-indexed
-        # fault rules to fire at the same calls.
-        for field_name in ("hlr", "whois", "crtsh", "passivedns", "ipinfo",
-                           "virustotal", "gsb", "openai"):
-            service_obj = getattr(self.services, field_name)
-            if isinstance(service_obj, FaultProxy):
-                objects[PROXY_PREFIX + service_obj.meter.service] = service_obj
-        return objects
-
-    def _capture_registry(self) -> Dict[str, Dict[str, Any]]:
-        return {key: obj.state_dict()
-                for key, obj in self._registry_objects().items()}
-
-    def _restore_registry(self, state: Dict[str, Dict[str, Any]]) -> None:
-        objects = self._registry_objects()
-        for key, value in state.items():
-            obj = objects.get(key)
-            if obj is not None:
-                obj.restore_state(value)
-            elif key.startswith(BREAKER_PREFIX):
-                name = key[len(BREAKER_PREFIX):]
-                breaker = CircuitBreaker(
-                    name, self.clock,
-                    observer=self.telemetry.breaker_hook(),
-                )
-                breaker.restore_state(value)
-                self.breakers[name] = breaker
-            else:
-                raise CheckpointError(
-                    f"serve state carries unknown registry key {key!r}")
+    def _registry(self):
+        """Clock, meters, breakers and fault proxies. Serve wraps its
+        services once for its whole lifetime, so proxy call counters are
+        continuous session state (unlike stream's per-epoch proxies) and
+        survive a resume for call-indexed fault rules to fire at the
+        same calls."""
+        return build_state_registry(
+            self.world, self.services, {}, self.breakers,
+            breaker_provider(self.breakers, self.clock,
+                             self.telemetry.breaker_hook()))
 
     # -- the HTTP-shaped surface ----------------------------------------------
 
@@ -492,10 +440,7 @@ class IntakeService:
         for arrival in self._schedule:
             if arrival.index <= self.state.arrival_index:
                 continue  # committed by a previous life of this service
-            if self._kill_at is not None and arrival.index == self._kill_at:
-                raise SimulatedCrash(
-                    f"serve: injected kill before arrival {arrival.index}",
-                    service="serve", at_call=arrival.index)
+            kill_point("serve", arrival.index, self._kill_at)
             if arrival.at > self.clock.now:
                 self.clock.advance(arrival.at - self.clock.now)
             self._drain_due()
@@ -659,37 +604,27 @@ class IntakeService:
             "ledger": self.ledger.to_dict(),
             "sanitizer": self._sanitizer.state_dict(),
             "next_due": self._next_due,
-            "registry_state": self._capture_registry(),
+            "registry_state": self._registry().capture(),
             "cache_entries": (self.cache.export_entries()
                               if self.cache is not None else ()),
         }
-        digest = atomic_write_pickle(self.serve_dir / SERVE_STATE_NAME,
-                                     payload)
-        self._persist_manifest(state_ref={"state_file": SERVE_STATE_NAME,
-                                          "state_sha256": digest})
+        digest = atomic_write_pickle(self.serve_dir / STATE_NAME, payload)
+        self._persist_manifest(state_sha256=digest)
 
-    def _persist_manifest(self, *,
-                          state_ref: Optional[Dict[str, str]]) -> None:
-        faults = {"profile": (self._plan.profile
-                              if self._plan is not None else None),
-                  "seed": (self._plan.seed if self._plan is not None
-                           else self.world.config.seed)}
-        manifest: Dict[str, Any] = {
-            "version": SERVE_FORMAT_VERSION,
-            "scenario": _scenario_to_dict(self.world.config),
-            "load": self.load.to_dict(),
-            "config": self.config.to_dict(),
-            "faults": faults,
-            "execution": {"workers": self.policy.workers,
-                          "cache": self.policy.cache,
-                          "cache_max_entries": self.policy.cache_max_entries},
-            "committed_arrival": self.state.arrival_index,
-            "commits": self.state.commits,
-            "state_file": state_ref["state_file"] if state_ref else None,
-            "state_sha256": state_ref["state_sha256"] if state_ref else None,
-            "cli": self._cli,
-        }
-        atomic_write_json(self.serve_dir / SERVE_MANIFEST_NAME, manifest)
+    def _persist_manifest(self, *, state_sha256: Optional[str]) -> None:
+        manifest = build_manifest(
+            "serve",
+            scenario=scenario_to_dict(self.world.config),
+            faults=faults_to_dict(self._plan),
+            execution=execution_to_dict(self.policy),
+            argv=self._argv,
+            state_sha256=state_sha256,
+            load=self.load.to_dict(),
+            config=self.config.to_dict(),
+            committed_arrival=self.state.arrival_index,
+            commits=self.state.commits,
+        )
+        atomic_write_json(self.serve_dir / MANIFEST_NAME, manifest)
 
     # -- reporting ------------------------------------------------------------
 

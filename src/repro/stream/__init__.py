@@ -18,11 +18,7 @@ from .epochs import (
     plan_epochs,
 )
 from .ledger import DedupDivision, DedupLedger, content_hash
-from .runner import (
-    STREAM_MANIFEST_NAME,
-    STREAM_STATE_NAME,
-    StreamSession,
-)
+from .runner import StreamSession
 from .state import EpochStats, StreamState
 from .watermarks import ForumCursor, WatermarkStore
 
@@ -33,8 +29,6 @@ __all__ = [
     "EpochStats",
     "EpochWindow",
     "ForumCursor",
-    "STREAM_MANIFEST_NAME",
-    "STREAM_STATE_NAME",
     "StreamSession",
     "StreamState",
     "WatermarkStore",

@@ -21,10 +21,11 @@ growing :class:`~repro.stream.state.StreamState`:
   the session-wide cache warm, so epoch N+1 charges only for what epoch
   N has never answered.
 
-With a ``stream_dir``, every epoch runs under its own
+With a ``stream_dir`` (a :mod:`repro.durable` directory of kind
+``stream``), every epoch runs under its own
 :class:`~repro.checkpoint.CheckpointSession` (journal + barriers under
 ``<stream_dir>/epochs/epoch-NNNN/``) and each commit durably rewrites
-``state.pkl`` + ``STREAM.json``. A crash mid-epoch resumes *that* epoch
+``state.pkl`` + ``MANIFEST.json``. A crash mid-epoch resumes *that* epoch
 from its journal without disturbing committed ones; a crash between
 epochs resumes from the committed state alone.
 """
@@ -36,18 +37,11 @@ import datetime as dt
 import shutil
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional, Sequence
 
-from ..checkpoint import MANIFEST_NAME, CheckpointSession
+from ..checkpoint import CheckpointSession
 from ..checkpoint.session import NULL_CHECKPOINT
-from ..checkpoint.state import (
-    BREAKER_PREFIX,
-    CLOCK_KEY,
-    FORUM_METER_PREFIX,
-    METER_PREFIX,
-    PROXY_PREFIX,
-    build_state_registry,
-)
+from ..checkpoint.state import build_state_registry
 from ..core.collection import CollectionResult, collect_all
 from ..core.config import PipelineConfig
 from ..core.curation import Curator
@@ -55,40 +49,34 @@ from ..core.quarantine import stamp_epoch
 from ..core.enrichment import EnrichedDataset, Enricher
 from ..core.dataset import SmishingDataset
 from ..core.pipeline import _observed_meters, build_enrichment_services
-from ..errors import CheckpointError, ConfigurationError
+from ..durable import (
+    MANIFEST_NAME,
+    STATE_NAME,
+    atomic_write_json,
+    atomic_write_pickle,
+    build_manifest,
+    claim,
+    execution_to_dict,
+    faults_to_dict,
+    load_state,
+    plan_from_manifest,
+    policy_from_manifest,
+    read_manifest,
+    scenario_from_dict,
+    scenario_to_dict,
+)
+from ..errors import ConfigurationError
 from ..exec import ExecutionEngine, ExecutionPolicy
-from ..faults import CrashPoint, FaultPlan, build_fault_plan, inject_faults
+from ..faults import CrashPoint, FaultPlan, inject_faults
 from ..imaging.vision_openai import OpenAiVisionExtractor
 from ..obs import Telemetry, ensure_telemetry
-from ..resilience import CircuitBreaker, RetryPolicy
-from ..types import Forum
+from ..resilience import CircuitBreaker, RetryPolicy, breaker_provider
 from ..utils.rng import derive
 from ..world.scenario import ScenarioConfig, World, build_world
 from .epochs import EpochScheduler, EpochWindow, clamp_windows, plan_epochs
 from .ledger import DedupLedger
-from .persist import atomic_write_json, atomic_write_pickle, read_json, \
-    read_pickle
 from .state import EpochStats, StreamState
 from .watermarks import WatermarkStore
-
-#: The stream directory's manifest file name.
-STREAM_MANIFEST_NAME = "STREAM.json"
-STREAM_STATE_NAME = "state.pkl"
-STREAM_FORMAT_VERSION = 1
-
-
-def _scenario_to_dict(scenario: ScenarioConfig) -> Dict[str, Any]:
-    payload = dataclasses.asdict(scenario)
-    payload["timeline_start"] = scenario.timeline_start.isoformat()
-    payload["timeline_end"] = scenario.timeline_end.isoformat()
-    return payload
-
-
-def _scenario_from_dict(payload: Dict[str, Any]) -> ScenarioConfig:
-    data = dict(payload)
-    data["timeline_start"] = dt.date.fromisoformat(data["timeline_start"])
-    data["timeline_end"] = dt.date.fromisoformat(data["timeline_end"])
-    return ScenarioConfig(**data)
 
 
 class StreamSession:
@@ -102,7 +90,7 @@ class StreamSession:
                  stream_dir: Optional[Path] = None,
                  crash_at: Optional[tuple] = None,
                  crash_epoch: Optional[int] = None,
-                 cli: Optional[Dict[str, Any]] = None):
+                 argv: Sequence[str] = ()):
         self.world = world
         self.scheduler = scheduler
         base = config or PipelineConfig()
@@ -118,7 +106,9 @@ class StreamSession:
         self.telemetry = ensure_telemetry(telemetry)
         self.telemetry.tracer.bind_clock(world.clock)
         self.stream_dir = Path(stream_dir) if stream_dir is not None else None
-        self._cli = dict(cli) if cli else {}
+        self._argv = list(argv)
+        #: Digest of the last committed ``state.pkl`` (None before one).
+        self._state_sha256: Optional[str] = None
 
         if (self.stream_dir is not None and self._survivable is not None
                 and not self._survivable.is_empty
@@ -156,13 +146,15 @@ class StreamSession:
                idle_seconds: float = 0.0,
                crash_at: Optional[tuple] = None,
                crash_epoch: Optional[int] = None,
-               cli: Optional[Dict[str, Any]] = None) -> "StreamSession":
+               argv: Sequence[str] = ()) -> "StreamSession":
         """Start a fresh session (``repro watch``).
 
-        With a ``stream_dir``, the directory must not already hold a
-        stream; the session manifest is persisted immediately so even a
-        crash inside epoch 0 leaves a resumable directory behind.
+        With a ``stream_dir``, the directory must be missing or empty;
+        the session manifest is persisted immediately so even a crash
+        inside epoch 0 leaves a resumable directory behind.
         """
+        if stream_dir is not None:
+            claim(stream_dir)
         scenario = scenario or ScenarioConfig()
         world = build_world(scenario)
         base = config or PipelineConfig()
@@ -176,17 +168,9 @@ class StreamSession:
         session = cls(world, scheduler=scheduler, config=base,
                       fault_plan=fault_plan, execution=execution,
                       telemetry=telemetry, stream_dir=stream_dir,
-                      crash_at=crash_at, crash_epoch=crash_epoch, cli=cli)
+                      crash_at=crash_at, crash_epoch=crash_epoch, argv=argv)
         if session.stream_dir is not None:
-            manifest = session.stream_dir / STREAM_MANIFEST_NAME
-            if manifest.exists():
-                raise ConfigurationError(
-                    f"{session.stream_dir} already holds a stream session; "
-                    f"continue it with `repro resume --stream-dir "
-                    f"{session.stream_dir}` or `repro ingest`"
-                )
-            session.stream_dir.mkdir(parents=True, exist_ok=True)
-            session._persist_manifest(state_ref=None)
+            session._persist_manifest()
         return session
 
     @classmethod
@@ -204,85 +188,40 @@ class StreamSession:
         rebuilt fresh for every epoch.
         """
         stream_dir = Path(stream_dir)
-        manifest_path = stream_dir / STREAM_MANIFEST_NAME
-        if not manifest_path.is_file():
-            raise ConfigurationError(
-                f"{stream_dir} holds no {STREAM_MANIFEST_NAME}; nothing "
-                f"to resume"
-            )
-        manifest = read_json(manifest_path)
-        if manifest.get("version") != STREAM_FORMAT_VERSION:
-            raise CheckpointError(
-                f"stream manifest version {manifest.get('version')!r} is "
-                f"not supported (want {STREAM_FORMAT_VERSION})"
-            )
-        scenario = _scenario_from_dict(manifest["scenario"])
-        world = build_world(scenario)
-        faults = manifest.get("faults") or {}
-        fault_plan = None
-        if faults.get("profile"):
-            fault_plan = build_fault_plan(faults["profile"],
-                                          seed=int(faults["seed"]))
-        execution = ExecutionPolicy(**manifest["execution"])
+        manifest = read_manifest(stream_dir, kind="stream")
+        world = build_world(scenario_from_dict(manifest["scenario"]))
         plan = [EpochWindow(index=i,
                             start=dt.datetime.fromisoformat(start),
                             end=dt.datetime.fromisoformat(end))
                 for i, (start, end) in enumerate(manifest["plan"])]
         scheduler = EpochScheduler(plan, target=int(manifest["target_epochs"]),
-                                   idle_seconds=float(
-                                       manifest.get("idle_seconds", 0.0)))
+                                   idle_seconds=float(manifest["idle_seconds"]))
         telemetry = (telemetry_factory(world) if telemetry_factory is not None
                      else None)
         session = cls(world, scheduler=scheduler,
-                      fault_plan=fault_plan, execution=execution,
+                      fault_plan=plan_from_manifest(manifest),
+                      execution=policy_from_manifest(manifest),
                       telemetry=telemetry, stream_dir=stream_dir,
                       crash_at=crash_at, crash_epoch=crash_epoch,
-                      cli=manifest.get("cli") or {})
-        if manifest.get("state_file"):
-            payload = read_pickle(
-                stream_dir / manifest["state_file"],
-                expected_sha256=manifest.get("state_sha256", ""),
-            )
+                      argv=manifest["argv"])
+        payload = load_state(stream_dir, manifest)
+        if payload is not None:
             session.state = StreamState.from_payload(payload)
+            session._state_sha256 = manifest["state_sha256"]
             if session.cache is not None:
                 session._cache_seeded = session.cache.seed(
-                    payload.get("cache_entries", ()))
-            session._restore_registry_state(
-                payload.get("registry_state", {}))
-        session.watermarks = WatermarkStore.from_dict(
-            manifest.get("watermarks", {}))
-        session.ledger = DedupLedger.from_dict(manifest.get("ledger", {}))
+                    payload["cache_entries"])
+            # Fault proxies are per-epoch objects whose call counters
+            # start at zero each epoch, so their committed state has no
+            # live counterpart here and the restore drops it.
+            build_state_registry(
+                world, session.services, world.forums, session.breakers,
+                breaker_provider(session.breakers, world.clock,
+                                 session.telemetry.breaker_hook()),
+            ).restore(payload["registry_state"])
+        session.watermarks = WatermarkStore.from_dict(manifest["watermarks"])
+        session.ledger = DedupLedger.from_dict(manifest["ledger"])
         return session
-
-    def _restore_registry_state(self, state: Dict[str, Dict[str, Any]]) -> None:
-        """Put the last commit's clock/meter/breaker state back.
-
-        ``proxy:`` keys are dropped: fault proxies are per-epoch objects
-        whose call counters start at zero each epoch, exactly as they do
-        in an uninterrupted in-process session.
-        """
-        meters = self.services.meters()
-        for key, value in state.items():
-            if key == CLOCK_KEY:
-                self.world.clock.restore_state(value)
-            elif key.startswith(METER_PREFIX):
-                meters[key[len(METER_PREFIX):]].restore_state(value)
-            elif key.startswith(FORUM_METER_PREFIX):
-                forum = Forum(key[len(FORUM_METER_PREFIX):])
-                self.world.forums[forum].meter.restore_state(value)
-            elif key.startswith(BREAKER_PREFIX):
-                name = key[len(BREAKER_PREFIX):]
-                breaker = CircuitBreaker(
-                    name, self.world.clock,
-                    observer=self.telemetry.breaker_hook(),
-                )
-                breaker.restore_state(value)
-                self.breakers[name] = breaker
-            elif key.startswith(PROXY_PREFIX):
-                continue
-            else:
-                raise CheckpointError(
-                    f"stream state carries unknown registry key {key!r}")
 
     # -- the epoch loop -------------------------------------------------------
 
@@ -315,7 +254,7 @@ class StreamSession:
             )
         self.scheduler.extend(epochs)
         if self.stream_dir is not None:
-            self._persist_manifest(state_ref=self._last_state_ref)
+            self._persist_manifest()
         return self.run()
 
     def _run_epoch(self, epoch: EpochWindow) -> None:
@@ -337,7 +276,7 @@ class StreamSession:
             known_urls=set(self.state.urls),
         )
         registry = build_state_registry(self.world, services, forums,
-                                        enricher)
+                                        enricher.breakers, enricher._breaker)
         charged_before = self._charged_now()
         try:
             if checkpoint.active:
@@ -485,7 +424,6 @@ class StreamSession:
             # A directory without a manifest died before its first
             # barrier; nothing in it is durable, so start clean.
             shutil.rmtree(epoch_dir)
-        epoch_dir.mkdir(parents=True, exist_ok=True)
         return CheckpointSession.record(epoch_dir)
 
     def _charged_now(self) -> Dict[str, int]:
@@ -522,60 +460,34 @@ class StreamSession:
 
     # -- persistence ----------------------------------------------------------
 
-    @property
-    def _last_state_ref(self) -> Optional[Dict[str, str]]:
-        if self.stream_dir is None:
-            return None
-        manifest_path = self.stream_dir / STREAM_MANIFEST_NAME
-        if not manifest_path.is_file():
-            return None
-        manifest = read_json(manifest_path)
-        if not manifest.get("state_file"):
-            return None
-        return {"state_file": manifest["state_file"],
-                "state_sha256": manifest.get("state_sha256", "")}
-
     def _persist(self, registry) -> None:
-        registry_state = {key: value
-                          for key, value in registry.capture().items()
-                          if not key.startswith(PROXY_PREFIX)}
         payload = self.state.to_payload()
         payload["cache_entries"] = (self.cache.export_entries()
                                     if self.cache is not None else ())
-        payload["registry_state"] = registry_state
-        digest = atomic_write_pickle(self.stream_dir / STREAM_STATE_NAME,
-                                     payload)
-        self._persist_manifest(state_ref={"state_file": STREAM_STATE_NAME,
-                                          "state_sha256": digest})
+        payload["registry_state"] = registry.capture()
+        self._state_sha256 = atomic_write_pickle(
+            self.stream_dir / STATE_NAME, payload)
+        self._persist_manifest()
 
-    def _persist_manifest(self, *, state_ref: Optional[Dict[str, str]]) -> None:
-        faults = {"profile": (self._survivable.profile
-                              if self._survivable is not None else None),
-                  "seed": (self._survivable.seed
-                           if self._survivable is not None
-                           else self.world.config.seed)}
-        manifest: Dict[str, Any] = {
-            "version": STREAM_FORMAT_VERSION,
-            "scenario": _scenario_to_dict(self.world.config),
-            "faults": faults,
-            "execution": {"workers": self.policy.workers,
-                          "cache": self.policy.cache,
-                          "cache_max_entries": self.policy.cache_max_entries},
-            "plan": [[w.start.isoformat(), w.end.isoformat()]
-                     for w in self.scheduler.plan],
-            "idle_seconds": self.scheduler.idle_seconds,
-            "target_epochs": self.scheduler.target,
-            "committed": self.state.committed_epochs,
-            "next_record_index": self.state.next_record_index,
-            "watermarks": self.watermarks.to_dict(),
-            "ledger": self.ledger.to_dict(),
-            "epoch_stats": [stats.to_dict()
-                            for stats in self.state.epoch_stats],
-            "state_file": state_ref["state_file"] if state_ref else None,
-            "state_sha256": state_ref["state_sha256"] if state_ref else None,
-            "cli": self._cli,
-        }
-        atomic_write_json(self.stream_dir / STREAM_MANIFEST_NAME, manifest)
+    def _persist_manifest(self) -> None:
+        manifest = build_manifest(
+            "stream",
+            scenario=scenario_to_dict(self.world.config),
+            faults=faults_to_dict(self._survivable),
+            execution=execution_to_dict(self.policy),
+            argv=self._argv,
+            state_sha256=self._state_sha256,
+            plan=[[w.start.isoformat(), w.end.isoformat()]
+                  for w in self.scheduler.plan],
+            idle_seconds=self.scheduler.idle_seconds,
+            target_epochs=self.scheduler.target,
+            committed=self.state.committed_epochs,
+            next_record_index=self.state.next_record_index,
+            watermarks=self.watermarks.to_dict(),
+            ledger=self.ledger.to_dict(),
+            epoch_stats=[stats.to_dict() for stats in self.state.epoch_stats],
+        )
+        atomic_write_json(self.stream_dir / MANIFEST_NAME, manifest)
 
     # -- reporting ------------------------------------------------------------
 

@@ -205,7 +205,7 @@ class StreamState:
             "cache_seeded": cache_seeded,
         }
 
-    # -- persistence (heavyweight half; JSON half lives in STREAM.json) -------
+    # -- persistence (heavyweight half; JSON half lives in MANIFEST.json) -----
 
     def to_payload(self) -> Dict[str, Any]:
         """The picklable payload for ``state.pkl``."""

@@ -8,7 +8,9 @@ input validation.
 """
 
 import json
+import os
 import pickle
+import shutil
 
 import pytest
 
@@ -27,6 +29,7 @@ from repro.checkpoint import (
 )
 from repro.cli import main
 from repro.core.pipeline import run_pipeline
+from repro.durable import KINDS
 from repro.errors import (
     CheckpointError,
     CheckpointMismatch,
@@ -202,6 +205,22 @@ def test_journal_load_rejects_future_format(tmp_path):
     (tmp_path / MANIFEST_NAME).write_text(json.dumps({"format": 999}))
     with pytest.raises(CheckpointError, match="format"):
         RunJournal.load(tmp_path)
+
+
+def test_interrupted_manifest_rewrite_keeps_the_old_manifest(tmp_path,
+                                                            monkeypatch):
+    journal = RunJournal.create(tmp_path / "ck")
+    journal.write_manifest({"scenario": {"seed": 1}})
+
+    def power_loss(fd):
+        raise SimulatedCrash("power loss before the rewrite was durable")
+
+    monkeypatch.setattr(os, "fsync", power_loss)
+    with pytest.raises(SimulatedCrash):
+        journal.write_manifest({"scenario": {"seed": 2}})
+    monkeypatch.undo()
+    assert RunJournal.load(journal.directory).manifest["scenario"] == {
+        "seed": 1}
 
 
 def _journal_with_records(tmp_path, n=3):
@@ -386,16 +405,38 @@ def test_cli_rejects_non_empty_checkpoint_dir(tmp_path, capsys):
     assert "not empty" in capsys.readouterr().err
 
 
-def test_cli_points_existing_journal_at_resume(tmp_path, capsys):
+_FRESH_RUN = {
+    "batch": ["--checkpoint-dir", "{d}", "stats"],
+    "stream": ["watch", "--stream-dir", "{d}"],
+    "serve": ["serve", "--serve-dir", "{d}"],
+    "investigate": ["investigate", "--invest-dir", "{d}"],
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_cli_points_existing_journal_at_resume(kind, tmp_path, capsys):
     d = tmp_path / "ck"
     d.mkdir()
     (d / MANIFEST_NAME).write_text("{}")
-    assert main(_CLI + ["--checkpoint-dir", str(d), "stats"]) == 2
-    assert "repro resume" in capsys.readouterr().err
+    argv = [arg.format(d=d) for arg in _FRESH_RUN[kind]]
+    assert main(_CLI + argv) == 2
+    assert f"repro resume {d}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_cli_resume_refuses_a_stale_code_fingerprint(kind, durable_dirs,
+                                                     tmp_path, capsys):
+    d = shutil.copytree(durable_dirs[kind], tmp_path / kind)
+    manifest = json.loads((d / MANIFEST_NAME).read_text())
+    manifest["code"] = "0" * 64
+    (d / MANIFEST_NAME).write_text(json.dumps(manifest))
+    assert main(["resume", str(d)]) == 2
+    err = capsys.readouterr().err
+    assert f"the {kind} directory" in err and "different code" in err
 
 
 def test_cli_resume_requires_a_journal(tmp_path, capsys):
-    assert main(["resume", "--checkpoint-dir", str(tmp_path)]) == 2
+    assert main(["resume", str(tmp_path)]) == 2
     assert MANIFEST_NAME in capsys.readouterr().err
 
 
@@ -406,7 +447,7 @@ def test_cli_crash_then_resume_round_trip(tmp_path, capsys):
     assert main(crash) == 75
     err = capsys.readouterr().err
     assert "repro: crashed" in err and "repro resume" in err
-    assert main(["resume", "--checkpoint-dir", str(d), "--quiet"]) == 0
+    assert main(["resume", str(d), "--quiet"]) == 0
     resumed_report = capsys.readouterr().out
     assert main(_CLI + ["--faults", "flaky", "report"]) == 0
     assert resumed_report == capsys.readouterr().out

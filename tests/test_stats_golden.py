@@ -104,8 +104,7 @@ def test_resumed_stats_matches_golden(frozen_wall_clock, capsys, tmp_path):
                   str(checkpoint_dir), "--crash-at", "whois:5", "stats"]
     assert cli.main(crash_argv) == 75
     capsys.readouterr()
-    assert cli.main(["resume", "--checkpoint-dir",
-                     str(checkpoint_dir)]) == 0
+    assert cli.main(["resume", str(checkpoint_dir)]) == 0
     output = capsys.readouterr().out
     golden_path = GOLDEN_DIR / RESUMED_GOLDEN
     if os.environ.get("REPRO_UPDATE_GOLDEN"):

@@ -9,6 +9,7 @@ epoch planning, watermark cursors, the dedup ledger, atomic persistence
 import dataclasses
 import datetime as dt
 import json
+import shutil
 
 import pytest
 
@@ -16,14 +17,22 @@ from repro.cli import main
 from repro.core.collection import CollectionResult, RawReport
 from repro.core.config import CollectionWindows
 from repro.core.dataset import SmishingRecord
+from repro.durable import (
+    MANIFEST_NAME as STREAM_MANIFEST_NAME,
+    STATE_NAME as STREAM_STATE_NAME,
+    atomic_write_json,
+    atomic_write_pickle,
+    read_json,
+    read_pickle,
+)
 from repro.errors import CheckpointError, ConfigurationError
+from repro.investigate import InvestigationSession
+from repro.serve import IntakeService
 from repro.stream import (
     DedupLedger,
     EpochScheduler,
     EpochWindow,
     ForumCursor,
-    STREAM_MANIFEST_NAME,
-    STREAM_STATE_NAME,
     StreamSession,
     StreamState,
     WatermarkStore,
@@ -31,12 +40,6 @@ from repro.stream import (
     content_hash,
     global_window,
     plan_epochs,
-)
-from repro.stream.persist import (
-    atomic_write_json,
-    atomic_write_pickle,
-    read_json,
-    read_pickle,
 )
 from repro.types import Forum
 from repro.world.scenario import ScenarioConfig
@@ -283,12 +286,18 @@ class TestPersist:
         assert read_pickle(path, expected_sha256=digest) == {
             "k": [0, 1, 2, 3, 4]}
 
-    def test_corrupted_pickle_is_rejected(self, tmp_path):
-        path = tmp_path / "state.pkl"
-        digest = atomic_write_pickle(path, {"k": 1})
+    LOADERS = {"stream": StreamSession.load, "serve": IntakeService.load,
+               "investigate": InvestigationSession.load}
+
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    def test_corrupted_pickle_is_rejected(self, durable_dirs, tmp_path, kind):
+        directory = shutil.copytree(durable_dirs[kind], tmp_path / kind)
+        path = directory / STREAM_STATE_NAME
         path.write_bytes(path.read_bytes() + b"tamper")
-        with pytest.raises(CheckpointError, match="digest"):
-            read_pickle(path, expected_sha256=digest)
+        with pytest.raises(CheckpointError,
+                           match=f"{kind} state file .* digest .* the "
+                                 f"{kind} directory"):
+            self.LOADERS[kind](directory)
 
 
 # ---------------------------------------------------------------------------
@@ -422,10 +431,9 @@ class TestStreamCli:
             "--crash-epoch", "1", "--stream-dir", str(crash_dir)])
         err = capsys.readouterr().err
         assert code == 75
-        assert f"repro resume --stream-dir {crash_dir}" in err
+        assert f"repro resume {crash_dir}" in err
 
-        assert main(self.ARGS + [
-            "resume", "--stream-dir", str(crash_dir)]) == 0
+        assert main(self.ARGS + ["resume", str(crash_dir)]) == 0
         resumed = self._fingerprint(capsys.readouterr().out)
         assert resumed == clean
 
@@ -442,7 +450,7 @@ class TestStreamCli:
 
     def test_validation_rejects_bad_combinations(self, tmp_path, capsys):
         missing = tmp_path / "nope"
-        assert main(["resume", "--stream-dir", str(missing)]) == 2
+        assert main(["resume", str(missing)]) == 2
         assert main(["resume"]) == 2
         assert main(self.ARGS + [
             "--checkpoint-dir", str(tmp_path / "ckpt"),
