@@ -15,6 +15,9 @@
 # — is finished by the one verb `repro resume DIR`.
 #
 # Usage: scripts/ci.sh
+# Tier-1 runs under the `ci` hypothesis profile (tests/conftest.py):
+# derandomized, with the default example budget, so a property failure
+# such as the brand-NER oracle test reproduces run to run.
 # The coverage gate (scripts/coverage_gate.py) fails the build when
 # repro coverage drops below its pinned threshold (pytest-cov when
 # available, stdlib function-coverage tracer otherwise). The
@@ -37,7 +40,7 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== tier-1 tests =="
-python -m pytest -x -q tests
+python -m pytest -x -q tests --hypothesis-profile=ci
 
 echo "== benchmark self-tests (perfbench layer map) =="
 python -m pytest -q perfbench

@@ -10,6 +10,7 @@ exercised.
 from __future__ import annotations
 
 import datetime as dt
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -69,6 +70,8 @@ class ForumService:
 
     def __init__(self, *, meter: Optional[ForumMeter] = None):
         self._posts: List[Post] = []
+        # ``created_at`` of each post in ``_posts`` order, for bisection.
+        self._created: List[dt.datetime] = []
         self._by_id: Dict[str, Post] = {}
         self._sorted = True
         self.meter = meter or ForumMeter(service=self.forum.value)
@@ -99,6 +102,7 @@ class ForumService:
     def _ensure_sorted(self) -> None:
         if not self._sorted:
             self._posts.sort(key=lambda p: (p.created_at, p.post_id))
+            self._created = [post.created_at for post in self._posts]
             self._sorted = True
 
     # -- read API -------------------------------------------------------------------
@@ -126,21 +130,24 @@ class ForumService:
         """Keyword search with cursor pagination (charges one request).
 
         The cursor is the integer offset into the chronological match
-        list, stringified — opaque to callers, stable across pages.
+        list, stringified — opaque to callers, stable across pages. The
+        posts are sorted by ``(created_at, post_id)``, so the page starts
+        by bisection and stops at the first post at or after ``until``:
+        draining a keyword examines each post of the window once.
         """
         self.meter.charge()
         self._ensure_sorted()
-        start_index = int(cursor) if cursor else 0
+        posts = self._posts
+        start = max(int(cursor), 0) if cursor else 0
+        if since is not None:
+            start = bisect_left(self._created, since, lo=start)
+        stop = len(posts)
+        if until is not None:
+            stop = bisect_left(self._created, until, lo=start)
         matches: List[Post] = []
-        scanned = 0
         next_cursor: Optional[str] = None
-        for index, post in enumerate(self._posts):
-            if index < start_index:
-                continue
-            if since is not None and post.created_at < since:
-                continue
-            if until is not None and post.created_at >= until:
-                continue
+        for index in range(start, stop):
+            post = posts[index]
             if post.deleted and not include_deleted:
                 continue
             if not post.matches_keyword(keyword):

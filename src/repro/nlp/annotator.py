@@ -129,11 +129,10 @@ class MessageAnnotator:
         english = translated.text
         # Brand NER runs on the original text too — brand strings survive
         # translation (they are slot values) but leetspeak lives in the
-        # original surface form.
-        brand = (
-            self.brand_recognizer.find_primary(text)
-            or self.brand_recognizer.find_primary(english)
-        )
+        # original surface form. Untranslated text needs no second scan.
+        brand = self.brand_recognizer.find_primary(text)
+        if brand is None and english != text:
+            brand = self.brand_recognizer.find_primary(english)
         scam = self.scam_classifier.classify(english, brand=brand)
         lures = self.lure_detector.detect_set(english)
         labels = AnnotationLabels(

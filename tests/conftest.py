@@ -12,12 +12,18 @@ from pathlib import Path
 from typing import Dict
 
 import pytest
+from hypothesis import settings
 
 from repro.cli import main
 from repro.core.pipeline import PipelineRun, run_pipeline
 from repro.errors import SimulatedCrash
 from repro.investigate import run_investigation
 from repro.world.scenario import ScenarioConfig, World, build_world
+
+#: ``pytest --hypothesis-profile=ci`` (scripts/ci.sh): the same example
+#: budget as the default profile, drawn from a fixed seed so a property
+#: failure (such as the brand-NER oracle test) reproduces run to run.
+settings.register_profile("ci", derandomize=True, database=None)
 
 
 @pytest.fixture(scope="session")

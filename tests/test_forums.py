@@ -1,6 +1,9 @@
 """Tests for the forum services and their API semantics."""
 
 import datetime as dt
+import math
+from collections import Counter
+from dataclasses import dataclass
 
 import pytest
 
@@ -32,6 +35,19 @@ def _post(forum, post_id, when, body, **kwargs):
 
 
 T0 = dt.datetime(2022, 1, 1, 12, 0)
+
+
+@dataclass
+class _CountingPost(Post):
+    """A post that counts reads of the fields a search examines."""
+
+    reads = Counter()
+
+    def __getattribute__(self, name):
+        if name in ("created_at", "deleted"):
+            _CountingPost.reads[
+                object.__getattribute__(self, "post_id"), name] += 1
+        return object.__getattribute__(self, name)
 
 
 class TestForumBase:
@@ -81,6 +97,43 @@ class TestForumBase:
         assert not first.exhausted
         rest = service.search_all("sms scam")
         assert len(rest) == 8
+
+    def test_draining_a_window_examines_each_post_once(self):
+        """Paging is linear: over n and 4n posts, every post inside the
+        since/until window is examined at most once across the whole
+        drain, posts outside it never, and no page reads more post
+        timestamps than its two bisections would."""
+        for n in (200, 800):
+            service = TwitterService()
+            service.page_size = 10
+            service.add_posts(_CountingPost(
+                post_id=f"t{i:04d}", forum=Forum.TWITTER, author="user",
+                created_at=T0 + dt.timedelta(hours=i),
+                body="sms scam" if i % 2 else "hello",
+            ) for i in range(n))
+            service.all_posts()  # sort once, outside the count
+            since = T0 + dt.timedelta(hours=n // 4)
+            until = T0 + dt.timedelta(hours=3 * n // 4)
+            _CountingPost.reads.clear()
+            pages = 0
+            cursor = None
+            while True:
+                page = service.search("sms scam", since=since, until=until,
+                                      cursor=cursor)
+                pages += 1
+                if page.exhausted:
+                    break
+                cursor = page.next_cursor
+            examined = {post_id: count for (post_id, name), count
+                        in _CountingPost.reads.items() if name == "deleted"}
+            window = {f"t{i:04d}" for i in range(n // 4, 3 * n // 4)}
+            assert set(examined) == window
+            assert max(examined.values()) == 1
+            timestamp_reads = sum(
+                count for (_, name), count in _CountingPost.reads.items()
+                if name == "created_at")
+            assert pages == n // 40 + 1
+            assert timestamp_reads <= pages * 2 * math.ceil(math.log2(n + 1))
 
     def test_deleted_posts_hidden(self):
         service = self.make_twitter()

@@ -1,6 +1,7 @@
 """Tests for the end-to-end annotator and the OpenAI endpoint facade."""
 
 import json
+import pickle
 
 import pytest
 
@@ -65,6 +66,19 @@ class TestAnnotator:
         assert parsed.labels.scam_type == annotation.labels.scam_type
         assert parsed.labels.brand == annotation.labels.brand
         assert parsed.labels.lures == annotation.labels.lures
+
+    def test_pickled_annotator_ships_no_memo(self):
+        """Process-pool shards pickle the annotator; the NER and
+        normalisation memos are module state, so annotating must not
+        grow what a worker receives."""
+        annotator = MessageAnnotator()
+        before = len(pickle.dumps(annotator))
+        for i in range(1_000):
+            annotator.annotate(
+                f"m{i}", f"N3tfl!x alert {i}: pay at "
+                f"https://netflix-{i}.billing{i % 7}.xyz/p{i} or lose "
+                f"royal mail parcel {i * 7919}")
+        assert len(pickle.dumps(annotator)) == before
 
     def test_json_names_cover_prompt(self):
         assert set(SCAM_TYPE_JSON_NAMES.values()) == {

@@ -15,7 +15,7 @@ from repro.exec import (
     canonical_merge,
     shard,
 )
-from repro.nlp.brands_ner import BrandRecognizer
+from repro.nlp.brands_ner import _MAX_SCAN_TOKENS, BrandRecognizer
 from repro.nlp.normalize import (
     MAX_NORMALIZE_CHARS,
     batch_normalize,
@@ -47,6 +47,7 @@ from repro.stream import (
 from repro.types import Forum
 from repro.utils.rng import WeightedSampler, partition_count, stable_hash
 from repro.utils.stats import cohens_kappa, ks_two_sample, median
+from tests.ner_reference import _reference_find_all
 
 GSM_SAFE = st.text(
     alphabet=string.ascii_letters + string.digits + " .,!?@£$-:/()'",
@@ -428,6 +429,109 @@ class TestHostileUnicodeProperties:
                            posted_at=dt.datetime(2022, 9, 1), body=body)
         verdict = Sanitizer().screen(report)
         assert verdict is None or verdict.reason in QUARANTINE_REASONS
+
+
+class TestBrandNerOracleProperties:
+    """``BrandRecognizer.find_all`` builds window keys from per-token
+    keys and prunes on lexicon prefixes; it must return exactly what the
+    window-by-window reference walk (``tests.ner_reference``) returns."""
+
+    #: Text pieces that stress every matching rule: letter-free and
+    #: digit-only tokens beside words, leet digits and homoglyphs, Greek
+    #: sigma forms and combining marks, URLs with brand host labels,
+    #: ``http``-prefixed tokens, multi-word and short aliases.
+    _PIECES = (
+        "7", "eleven", "7 eleven", "!! netflix", "e 3", "at 0", "sb 1",
+        "h 5 bc", "3", "1", "5", "!!", "!", "netflix", "N3tfl!x", "nf",
+        "NETFL1X", "0", "2", "o2", "O", "ee", "e", "sbi", "5B1", "ups",
+        "dhl", "fb", "amz", "p4yp@l", "paypal", "Amaz0n", "amazon",
+        "royal", "mail", "r0yal", "m4il", "state", "bank", "of", "india",
+        "st4te", "0f", "santander", "san", "tander", "at&t", "at", "t",
+        "t-mobile", "three", "uk", "hmrc", "gov", "g0v.uk", "Σ", "σ", "ς",
+        "ΑΣ", "e\u0301", "\u0301", "café", "ℓ", "аmazon", "İ", "ß", "ﬃ",
+        "‼", "'", "_", "€", "$", "|", "£", "123456", "1.5", "..",
+        "http", "https://", "http://netflix.com", "httpnetflix",
+        "netflix.com-billing.xyz", "https://royalmail.co.uk-fee.info/pay",
+        "www.paypal.com/x", "sbi.co.in", "pay/now", "a/b", "ee.co.uk",
+    )
+    _SEPARATORS = ("", " ", " ", " ", "\n", "-", ".", "/", ", ", ": ")
+
+    ner_texts = st.lists(
+        st.tuples(st.sampled_from(_PIECES), st.sampled_from(_SEPARATORS)),
+        max_size=24,
+    ).map(lambda parts: "".join(piece + sep for piece, sep in parts))
+
+    _CHARS = ("netflixamzopyhdsbriu0123457@!$|€ΣσςΑа .-/:'"
+              + "\u0301\u0308ﬃ‼ொா")
+
+    @pytest.fixture(scope="class")
+    def recognizer(self):
+        return BrandRecognizer()
+
+    @given(ner_texts)
+    def test_find_all_matches_the_reference_walk(self, recognizer, text):
+        assert recognizer.find_all(text) == \
+            _reference_find_all(recognizer, text)
+
+    @given(st.text(alphabet=_CHARS, max_size=60))
+    def test_find_all_matches_the_reference_on_raw_characters(
+            self, recognizer, text):
+        assert recognizer.find_all(text) == \
+            _reference_find_all(recognizer, text)
+
+    def test_letter_free_tokens_fold_only_beside_a_word(self, recognizer):
+        """``squash`` decides leet mapping on the joined window: "3"
+        reads as "e" next to "e", so "e 3" is EE, while "3 3" stays
+        digits."""
+        for text, brands in (("e 3", ["EE"]), ("at 0", ["ATO"]),
+                             ("h 5 bc", ["HSBC"]), ("3 3", []),
+                             ("!! netflix", ["Netflix"])):
+            matches = recognizer.find_all(text)
+            assert [m.brand for m in matches] == brands, text
+            assert matches == _reference_find_all(recognizer, text)
+
+    def test_window_beyond_the_normalise_cap_takes_exact_squash(
+            self, recognizer):
+        """Two tokens whose join outgrows ``MAX_NORMALIZE_CHARS`` (each
+        Tamil vowel sign decomposes into two non-alphanumeric marks):
+        ``squash`` truncates the join right after "flix", so the window
+        is Netflix, although the token keys concatenate to
+        "netflixzzz"."""
+        text = "net" + "\u0bca" * 32_764 + "\u0bbe flixzzz"
+        assert len(text) <= MAX_NORMALIZE_CHARS
+        expected = _reference_find_all(recognizer, text)
+        assert [m.brand for m in expected] == ["Netflix"]
+        assert recognizer.find_all(text) == expected
+
+    def test_token_flood_matches_the_reference(self, recognizer):
+        flood = "royal mail 7 eleven N3tfl!x " * (_MAX_SCAN_TOKENS // 5) \
+            + "your PayPal account"
+        matches = recognizer.find_all(flood)
+        assert matches == _reference_find_all(recognizer, flood)
+        assert matches and "PayPal" not in {m.brand for m in matches}
+        assert max(m.start_token for m in matches) < _MAX_SCAN_TOKENS
+
+    def test_matches_the_reference_on_every_annotated_text(
+            self, monkeypatch):
+        """Every text the annotator scans in a 120-campaign world."""
+        from repro.core.pipeline import run_pipeline
+        from repro.world.scenario import ScenarioConfig, build_world
+
+        scanned = []
+        find_all = BrandRecognizer.find_all
+
+        def spy(self, text):
+            scanned.append((self, text))
+            return find_all(self, text)
+
+        monkeypatch.setattr(BrandRecognizer, "find_all", spy)
+        run_pipeline(build_world(ScenarioConfig(seed=7726,
+                                                n_campaigns=120)))
+        monkeypatch.undo()
+        assert len(scanned) > 1_000
+        for recognizer, text in scanned:
+            assert recognizer.find_all(text) == \
+                _reference_find_all(recognizer, text), text
 
 
 class TestDatasetKeyProperties:
