@@ -2,8 +2,8 @@
 # CI gate: tier-1 tests, the benchmark's self-tests (so a rename that
 # breaks perfbench's layer map fails here), a coverage gate, an
 # observability smoke test, a chaos smoke test, a parallel-execution
-# smoke test, a process-pool smoke test (a `--pool process --workers 4`
-# report diffed byte-for-byte against the serial run), a crash-resume
+# smoke test (a `--workers 4` process-pool report diffed byte-for-byte
+# against the serial run, with cache hits recorded), a crash-resume
 # smoke test, a Chrome trace-export smoke test, a perf-gate smoke test
 # (which also enforces the records/second floor), a hostile-input smoke
 # test (a `--hostile poison` run must quarantine with exact three-bucket
@@ -26,8 +26,9 @@
 # for every forum and enrichment service. The chaos smoke test re-runs
 # the pipeline under the `flaky` fault profile and asserts it exits 0
 # with a non-empty enrichment-gap report. The parallel smoke test runs
-# with --workers 4 and asserts a clean exit with a non-zero enrichment
-# cache hit rate in the stats output. The crash-resume smoke test kills
+# `report` with --workers 4, diffs it against the serial run, and
+# asserts its trace shows a process pool and non-zero enrichment cache
+# hits. The crash-resume smoke test kills
 # a checkpointed flaky run mid-enrichment (--crash-at), resumes it with
 # `repro resume DIR`, and diffs the resumed report against an
 # uninterrupted run's — they must be byte-identical. The watch smoke
@@ -89,43 +90,36 @@ assert retries, "stats header does not echo the fault profile"
 print(f"chaos ok: {header.group(1)} gaps under the flaky profile")
 PY
 
-echo "== parallel smoke test (--workers 4) =="
-par_out="$(mktemp -t repro-par-XXXXXX.txt)"
-trap 'rm -f "$trace" "$chaos_out" "$par_out"' EXIT
-python -m repro stats --seed 7 --quiet --workers 4 > "$par_out"
-python - "$par_out" <<'PY'
-import re, sys
-
-out = open(sys.argv[1]).read()
-assert "workers=4" in out, "stats header does not echo the worker count"
-assert "cache=on" in out, "stats header does not echo the cache state"
-assert "Cache" in out and "Hit rate" in out, "missing cache table"
-total = re.search(r"\(total\)\s+([\d,]+)", out)
-row = re.search(r"openai\s+([\d,]+)", out)
-hits = int((total or row).group(1).replace(",", ""))
-assert hits > 0, "parallel run recorded zero cache hits"
-print(f"parallel ok: workers=4 run exited 0 with {hits} cache hits")
-PY
-
-echo "== process-pool smoke test (--pool process --workers 4) =="
-proc_report="$(mktemp -t repro-proc-XXXXXX.txt)"
+echo "== parallel smoke test (--workers 4, process pool) =="
+par_report="$(mktemp -t repro-par-XXXXXX.txt)"
+par_trace="$(mktemp -t repro-par-trace-XXXXXX.json)"
 serial_report="$(mktemp -t repro-serial-XXXXXX.txt)"
-trap 'rm -f "$trace" "$chaos_out" "$par_out" "$proc_report" "$serial_report"' EXIT
+trap 'rm -f "$trace" "$chaos_out" "$par_report" "$par_trace" "$serial_report"' EXIT
 python -m repro --seed 7 --campaigns 20 --quiet --workers 4 \
-  --pool process report > "$proc_report"
+  --trace-out "$par_trace" report > "$par_report"
 python -m repro --seed 7 --campaigns 20 --quiet report > "$serial_report"
-if ! diff -q "$proc_report" "$serial_report" > /dev/null; then
-  echo "process-pool FAILED: --pool process report differs from serial run" >&2
-  diff "$proc_report" "$serial_report" | head -20 >&2
+if ! diff -q "$par_report" "$serial_report" > /dev/null; then
+  echo "parallel FAILED: --workers 4 report differs from serial run" >&2
+  diff "$par_report" "$serial_report" | head -20 >&2
   exit 1
 fi
-echo "process-pool ok: 4-worker process-pool report byte-identical to serial run"
+python - "$par_trace" <<'PY'
+import json, sys
+
+trace = json.load(open(sys.argv[1]))
+hits = trace["cache"]["totals"]["hits"]
+assert hits > 0, "parallel run recorded zero cache hits"
+kinds = {pool["kind"] for pool in trace["exec"]["pools"]}
+assert kinds == {"ProcessPool"}, f"--workers 4 ran on {sorted(kinds)}"
+print(f"parallel ok: 4-worker process-pool report byte-identical to "
+      f"serial run, {hits} cache hits")
+PY
 
 echo "== crash-resume smoke test (checkpoint journal) =="
 ck_dir="$(mktemp -d -t repro-ck-XXXXXX)"
 resumed_out="$(mktemp -t repro-resumed-XXXXXX.txt)"
 full_out="$(mktemp -t repro-full-XXXXXX.txt)"
-trap 'rm -rf "$trace" "$chaos_out" "$par_out" "$proc_report" "$serial_report" "$ck_dir" "$resumed_out" "$full_out"' EXIT
+trap 'rm -rf "$trace" "$chaos_out" "$par_report" "$par_trace" "$serial_report" "$ck_dir" "$resumed_out" "$full_out"' EXIT
 rmdir "$ck_dir"   # the CLI wants to create it empty itself
 crash_rc=0
 python -m repro --seed 7 --campaigns 40 --quiet --faults flaky \
@@ -149,7 +143,7 @@ clean_dir="$(mktemp -d -t repro-stream-clean-XXXXXX)"
 crash_dir="$(mktemp -d -t repro-stream-crash-XXXXXX)"
 watch_out="$(mktemp -t repro-watch-XXXXXX.txt)"
 resume_stream_out="$(mktemp -t repro-watch-resumed-XXXXXX.txt)"
-trap 'rm -rf "$trace" "$chaos_out" "$par_out" "$proc_report" "$serial_report" "$ck_dir" "$resumed_out" "$full_out" "$clean_dir" "$crash_dir" "$watch_out" "$resume_stream_out"' EXIT
+trap 'rm -rf "$trace" "$chaos_out" "$par_report" "$par_trace" "$serial_report" "$ck_dir" "$resumed_out" "$full_out" "$clean_dir" "$crash_dir" "$watch_out" "$resume_stream_out"' EXIT
 rmdir "$clean_dir" "$crash_dir"   # the CLI wants to create them itself
 python -m repro --seed 7 --campaigns 40 --quiet watch --epochs 2 \
   --stream-dir "$clean_dir" > "$watch_out"
@@ -180,7 +174,7 @@ echo "== serve smoke test (burst load + kill-and-resume) =="
 serve_out="$(mktemp -t repro-serve-XXXXXX.txt)"
 serve_dir="$(mktemp -d -t repro-serve-dir-XXXXXX)"
 serve_resumed_out="$(mktemp -t repro-serve-resumed-XXXXXX.txt)"
-trap 'rm -rf "$trace" "$chaos_out" "$par_out" "$proc_report" "$serial_report" "$ck_dir" "$resumed_out" "$full_out" "$clean_dir" "$crash_dir" "$watch_out" "$resume_stream_out" "$serve_out" "$serve_dir" "$serve_resumed_out"' EXIT
+trap 'rm -rf "$trace" "$chaos_out" "$par_report" "$par_trace" "$serial_report" "$ck_dir" "$resumed_out" "$full_out" "$clean_dir" "$crash_dir" "$watch_out" "$resume_stream_out" "$serve_out" "$serve_dir" "$serve_resumed_out"' EXIT
 rmdir "$serve_dir"   # the CLI wants to create it itself
 serve_args=(--seed 7 --campaigns 20 --quiet serve --load-profile burst
   --requests 10000 --reporters 2000 --queue-capacity 40)
@@ -230,7 +224,7 @@ echo "serve ok: kill-and-resume fingerprint matches the uninterrupted run"
 
 echo "== trace-export smoke test (--trace-format chrome) =="
 chrome_trace="$(mktemp -t repro-chrome-XXXXXX.json)"
-trap 'rm -rf "$trace" "$chaos_out" "$par_out" "$proc_report" "$serial_report" "$ck_dir" "$resumed_out" "$full_out" "$clean_dir" "$crash_dir" "$watch_out" "$resume_stream_out" "$serve_out" "$serve_dir" "$serve_resumed_out" "$chrome_trace"' EXIT
+trap 'rm -rf "$trace" "$chaos_out" "$par_report" "$par_trace" "$serial_report" "$ck_dir" "$resumed_out" "$full_out" "$clean_dir" "$crash_dir" "$watch_out" "$resume_stream_out" "$serve_out" "$serve_dir" "$serve_resumed_out" "$chrome_trace"' EXIT
 python -m repro stats --seed 7 --quiet \
   --trace-out "$chrome_trace" --trace-format chrome > /dev/null
 python - "$chrome_trace" <<'PY'
@@ -254,7 +248,7 @@ PY
 
 echo "== perf-gate smoke test (baseline pin + tampered baseline) =="
 perf_dir="$(mktemp -d -t repro-perf-XXXXXX)"
-trap 'rm -rf "$trace" "$chaos_out" "$par_out" "$proc_report" "$serial_report" "$ck_dir" "$resumed_out" "$full_out" "$clean_dir" "$crash_dir" "$watch_out" "$resume_stream_out" "$serve_out" "$serve_dir" "$serve_resumed_out" "$chrome_trace" "$perf_dir"' EXIT
+trap 'rm -rf "$trace" "$chaos_out" "$par_report" "$par_trace" "$serial_report" "$ck_dir" "$resumed_out" "$full_out" "$clean_dir" "$crash_dir" "$watch_out" "$resume_stream_out" "$serve_out" "$serve_dir" "$serve_resumed_out" "$chrome_trace" "$perf_dir"' EXIT
 python -m repro stats --seed 7 --quiet --history-dir "$perf_dir" > /dev/null
 python scripts/perf_gate.py --history-dir "$perf_dir" \
   --baseline "$perf_dir/BASELINE.json" --update-baseline > /dev/null
@@ -294,7 +288,7 @@ echo "perf-gate ok: clean baseline passes, records/sec floor enforced, tampered 
 echo "== hostile-input smoke test (--hostile poison quarantine) =="
 hostile_out="$(mktemp -t repro-hostile-XXXXXX.txt)"
 hostile_clean_out="$(mktemp -t repro-hostile-clean-XXXXXX.txt)"
-trap 'rm -rf "$trace" "$chaos_out" "$par_out" "$proc_report" "$serial_report" "$ck_dir" "$resumed_out" "$full_out" "$clean_dir" "$crash_dir" "$watch_out" "$resume_stream_out" "$serve_out" "$serve_dir" "$serve_resumed_out" "$chrome_trace" "$perf_dir" "$hostile_out" "$hostile_clean_out"' EXIT
+trap 'rm -rf "$trace" "$chaos_out" "$par_report" "$par_trace" "$serial_report" "$ck_dir" "$resumed_out" "$full_out" "$clean_dir" "$crash_dir" "$watch_out" "$resume_stream_out" "$serve_out" "$serve_dir" "$serve_resumed_out" "$chrome_trace" "$perf_dir" "$hostile_out" "$hostile_clean_out"' EXIT
 python -m repro --seed 7 --campaigns 10 --quiet --hostile poison stats \
   > "$hostile_out"
 python -m repro --seed 7 --campaigns 10 --quiet stats > "$hostile_clean_out"
@@ -340,7 +334,7 @@ invest_proc_out="$(mktemp -t repro-invest-proc-XXXXXX.txt)"
 invest_resumed_out="$(mktemp -t repro-invest-resumed-XXXXXX.txt)"
 invest_dir="$(mktemp -d -t repro-invest-dir-XXXXXX)"
 invest_perf="$(mktemp -d -t repro-invest-perf-XXXXXX)"
-trap 'rm -rf "$trace" "$chaos_out" "$par_out" "$proc_report" "$serial_report" "$ck_dir" "$resumed_out" "$full_out" "$clean_dir" "$crash_dir" "$watch_out" "$resume_stream_out" "$serve_out" "$serve_dir" "$serve_resumed_out" "$chrome_trace" "$perf_dir" "$hostile_out" "$hostile_clean_out" "$invest_out" "$invest_proc_out" "$invest_resumed_out" "$invest_dir" "$invest_perf"' EXIT
+trap 'rm -rf "$trace" "$chaos_out" "$par_report" "$par_trace" "$serial_report" "$ck_dir" "$resumed_out" "$full_out" "$clean_dir" "$crash_dir" "$watch_out" "$resume_stream_out" "$serve_out" "$serve_dir" "$serve_resumed_out" "$chrome_trace" "$perf_dir" "$hostile_out" "$hostile_clean_out" "$invest_out" "$invest_proc_out" "$invest_resumed_out" "$invest_dir" "$invest_perf"' EXIT
 rmdir "$invest_dir"   # the CLI wants to create it itself
 invest_root=(--seed 7 --campaigns 30 --quiet)
 invest_sub=(investigate --playbook full-funnel --sample 120)
@@ -362,7 +356,7 @@ assert re.search(r"^investigate fingerprint=", out, re.M), \
     "no fleet fingerprint line"
 print(f"investigate ok: {investigated} investigated, {scans} scans")
 PY
-python -m repro "${invest_root[@]}" --workers 4 --pool process \
+python -m repro "${invest_root[@]}" --workers 4 \
   "${invest_sub[@]}" > "$invest_proc_out"
 serial_invest_fp="$(grep '^investigate fingerprint=' "$invest_out")"
 proc_invest_fp="$(grep '^investigate fingerprint=' "$invest_proc_out")"

@@ -35,7 +35,9 @@ trace-event JSON instead, openable in Perfetto), and emits stage-level
 progress lines on stderr (suppress with ``--quiet``) so long runs are
 not mute. Pass ``--checkpoint-dir DIR`` to journal the run for crash
 recovery (and ``--crash-at SERVICE:INDEX`` to inject a hard crash for
-testing it).
+testing it). ``--workers N`` is the one execution knob: one worker runs
+everything serially, more than one runs the pure enrichment precompute
+in a pool of N worker processes — output is byte-identical either way.
 
 The performance observatory rides on two more flags: ``--profile``
 adds function-level profiling (cProfile + tracemalloc, observation
@@ -67,7 +69,7 @@ from .core.anonymize import build_release, save_release
 from .core.pipeline import PipelineRun, run_pipeline
 from .durable import claim, policy_from_manifest, read_manifest, writable
 from .errors import CheckpointError, ConfigurationError, SimulatedCrash
-from .exec import POOL_KINDS, ExecutionPolicy
+from .exec import ExecutionPolicy
 from .faults import FAULT_PROFILES, CrashPoint, build_fault_plan
 from .investigate import (
     PLAYBOOKS,
@@ -162,6 +164,12 @@ def _option_argv(parser: argparse.ArgumentParser,
     return argv
 
 
+def _execution_policy(args: argparse.Namespace) -> ExecutionPolicy:
+    """The run's execution policy; ``--workers`` alone picks the pool
+    (serial for one worker, process above)."""
+    return ExecutionPolicy(workers=args.workers, cache=not args.no_cache)
+
+
 def _build_run(args: argparse.Namespace) -> PipelineRun:
     progress = None if args.quiet else stderr_sink
     resume_dir = _resume_dir(args)
@@ -181,9 +189,7 @@ def _build_run(args: argparse.Namespace) -> PipelineRun:
         if args.crash_at is not None:
             service, at_call = _parse_crash_at(args.crash_at)
             fault_plan = fault_plan.extended(CrashPoint(service, at_call))
-        execution = ExecutionPolicy(workers=args.workers,
-                                    cache=not args.no_cache,
-                                    pool=args.pool)
+        execution = _execution_policy(args)
         checkpoint = None
         if args.checkpoint_dir is not None:
             checkpoint = CheckpointSession.record(
@@ -222,7 +228,7 @@ def _run_config(args: argparse.Namespace) -> dict:
         "faults": args.faults,
         "workers": args.workers,
         "cache": not args.no_cache,
-        "pool": args.pool,
+        "pool": _execution_policy(args).pool,
     }
     if args.hostile != "none":
         config["hostile"] = args.hostile
@@ -369,7 +375,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     print(f"seed={args.seed} campaigns={args.campaigns} "
           f"faults={args.faults} "
           f"workers={args.workers} "
-          f"pool={args.pool} "
+          f"pool={_execution_policy(args).pool} "
           f"cache={'off' if args.no_cache else 'on'}"
           f"{hostile}{epochs} "
           f"reports={len(run.collection.reports)} records={len(dataset)} "
@@ -410,9 +416,7 @@ def _build_stream_session(args: argparse.Namespace,
         epochs=epochs,
         epoch_hours=epoch_hours,
         fault_plan=build_fault_plan(args.faults, seed=args.seed),
-        execution=ExecutionPolicy(workers=args.workers,
-                                  cache=not args.no_cache,
-                                  pool=args.pool),
+        execution=_execution_policy(args),
         telemetry_factory=_telemetry_factory(args),
         stream_dir=stream_dir,
         crash_at=crash,
@@ -486,9 +490,7 @@ def _build_serve(args: argparse.Namespace) -> IntakeService:
                            drain_interval=args.drain_interval,
                            commit_every=args.commit_every),
         fault_plan=build_fault_plan(args.faults, seed=args.seed),
-        execution=ExecutionPolicy(workers=args.workers,
-                                  cache=not args.no_cache,
-                                  pool=args.pool),
+        execution=_execution_policy(args),
         telemetry_factory=_telemetry_factory(args),
         serve_dir=args.serve_dir,
         kill_at=args.kill_at,
@@ -547,13 +549,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_investigate(args: argparse.Namespace) -> int:
     progress = None if args.quiet else stderr_sink
     telemetry = Telemetry.create(progress=progress)
+    policy = _execution_policy(args)
     outcome = run_investigation(
         ScenarioConfig(seed=args.seed, n_campaigns=args.campaigns,
                        hostile=args.hostile),
         playbook=args.playbook,
         sample=args.sample,
-        workers=args.workers,
-        pool_kind=args.pool,
+        workers=policy.workers,
+        pool_kind=policy.pool,
         fault_profile=args.faults,
         fault_seed=args.seed,
         invest_dir=_resume_dir(args) or args.invest_dir,
@@ -569,8 +572,8 @@ def _cmd_investigate(args: argparse.Namespace) -> int:
                      if outcome.session is not None else args.faults)
     print(f"seed={world.config.seed} campaigns={world.config.n_campaigns} "
           f"faults={fault_profile} "
-          f"workers={args.workers} "
-          f"pool={args.pool} "
+          f"workers={policy.workers} "
+          f"pool={policy.pool} "
           f"playbook={report.playbook} "
           f"investigated={report.investigated} "
           f"packages={len(report.packages)} "
@@ -619,11 +622,8 @@ def _add_run_options(sub: argparse.ArgumentParser) -> None:
                      default=argparse.SUPPRESS,
                      help="adversarial reporter profile for the world")
     sub.add_argument("--workers", type=int, default=argparse.SUPPRESS,
-                     help="worker count for the parallel execution phases")
-    sub.add_argument("--pool", choices=POOL_KINDS,
-                     default=argparse.SUPPRESS,
-                     help="pool backend for the parallel phases (process "
-                          "= true multi-core for the pure precompute)")
+                     help="worker processes for the enrichment "
+                          "precompute (1 = serial)")
     sub.add_argument("--no-cache", action="store_true",
                      default=argparse.SUPPRESS,
                      help="disable the per-(service, subject) "
@@ -674,14 +674,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "poison clusters (poison); clean results "
                              "are provably unaffected (default: none)")
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker count for the parallel execution "
-                             "phases (default 1; any count is "
+                        help="worker processes for the enrichment "
+                             "precompute (default 1 runs serially; more "
+                             "runs a process pool; any count is "
                              "byte-identical to serial)")
-    parser.add_argument("--pool", choices=POOL_KINDS, default="thread",
-                        help="pool backend for the parallel execution "
-                             "phases (default thread; process runs the "
-                             "pure precompute in multiprocessing workers "
-                             "— any choice is byte-identical)")
     parser.add_argument("--no-cache", action="store_true", default=False,
                         help="disable the per-(service, subject) "
                              "enrichment cache (on by default; caching "

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..errors import (
     CircuitOpen,
@@ -32,7 +32,7 @@ from ..errors import (
     ValidationError,
 )
 from ..exec.cache import EnrichmentCache
-from ..exec.pool import ProcessPool, SerialPool, WorkerPool, shard
+from ..exec.pool import SerialPool, WorkerPool, shard
 from ..net.tld import default_registry
 from ..obs import Telemetry, ensure_telemetry
 from ..net.url import Url
@@ -356,68 +356,50 @@ class Enricher:
         (reached via ``_annotator``, below the fault proxy and the
         meter) and VirusTotal's uncharged scan. No meter is charged, no
         fault rule consulted, no clock advanced — so any worker
-        schedule fills the cache with identical values, and the serial
-        effects replay that follows is byte-identical to an uncached
-        run. Annotations are keyed by message *text* (they are pure in
-        it); the replay rebinds each record's id.
-
-        Thread (and serial) pools share the parent's cache, so their
-        shard tasks fill it in place. A :class:`~repro.exec.ProcessPool`
-        cannot: its workers live in other interpreters, so they run
-        picklable tasks (:class:`AnnotateShardTask`,
-        :class:`ScanShardTask`) that carry only pure inputs and return
-        ``(subject, value)`` pairs; the parent merges them into the
-        cache in canonical shard order, one miss+store per unique
-        subject — the exact counter trajectory of the serial fill.
+        schedule computes identical values, and the serial effects
+        replay that follows is byte-identical to an uncached run.
+        Annotations are keyed by message *text* (they are pure in it);
+        the replay rebinds each record's id.
         """
         if self._cache is None:
             return
-        cache, services = self._cache, self._services
+        services = self._services
         pool = self._pool or SerialPool()
         texts = list(dict.fromkeys(r.text for r in dataset))
         urls = list(dict.fromkeys(
             str(r.url) for r in dataset if r.url is not None
         ))
-        annotator = services.openai._annotator
-
-        def _fill_texts(chunk) -> None:
-            for text in chunk:
-                cache.lookup("openai", text,
-                             lambda t=text: annotator.annotate("", t))
-
-        def _fill_urls(chunk) -> None:
-            for url in chunk:
-                cache.lookup(
-                    "virustotal", url,
-                    lambda u=url: services.virustotal._scan_url_uncharged(u),
-                )
-
-        # One chunk per worker, not one future per subject: the tasks
-        # are sub-millisecond and executor overhead would otherwise eat
-        # into the dedup savings.
         with self._telemetry.tracer.span(
             "enrich/precompute", unique_texts=len(texts),
             unique_urls=len(urls), workers=pool.workers,
         ):
-            if isinstance(pool, ProcessPool):
-                if texts:
-                    for chunk in pool.map(AnnotateShardTask(annotator),
-                                          shard(texts, pool.workers)):
-                        for text, annotation in chunk:
-                            cache.lookup("openai", text,
-                                         lambda a=annotation: a)
-                if urls:
-                    task = ScanShardTask(
-                        frozenset(services.virustotal._known_bad_hosts))
-                    for chunk in pool.map(task, shard(urls, pool.workers)):
-                        for url, report in chunk:
-                            cache.lookup("virustotal", url,
-                                         lambda r=report: r)
-            else:
-                if texts:
-                    pool.map(_fill_texts, shard(texts, pool.workers))
-                if urls:
-                    pool.map(_fill_urls, shard(urls, pool.workers))
+            self._fill("openai", texts, pool,
+                       AnnotateShardTask(services.openai._annotator))
+            self._fill("virustotal", urls, pool, ScanShardTask(
+                frozenset(services.virustotal._known_bad_hosts)))
+
+    def _fill(self, service: str, subjects: List[str], pool: WorkerPool,
+              task) -> None:
+        """Compute the uncached ``subjects`` on ``pool``, then look every
+        subject up in canonical order.
+
+        ``peek`` leaves the counters alone, so only the misses cross the
+        pool (one chunk per worker: the tasks are sub-millisecond and
+        per-subject futures would eat the savings). The lookup pass then
+        counts exactly the hits, misses and stores of a serial fill. A
+        subject a bounded cache evicts during that pass is recomputed in
+        the parent.
+        """
+        cache = self._cache
+        missing = [s for s in subjects if cache.peek(service, s) is None]
+        computed: Dict[str, Any] = {}
+        if missing:
+            for chunk in pool.map(task, shard(missing, pool.workers)):
+                computed.update(chunk)
+        for subject in subjects:
+            cache.lookup(service, subject,
+                         lambda s=subject: (computed[s] if s in computed
+                                            else task([s])[0][1]))
 
     # -- senders (§3.3.1) -----------------------------------------------------
 

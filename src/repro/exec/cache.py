@@ -19,18 +19,18 @@ kinds cover every terminal outcome a lookup can have:
   a structured ``(type, message)`` record. Transient failures are
   **never** cached — a retryable error says nothing about the subject.
 
-The cache is the one concurrency point the execution engine shares
-between workers, so it owns its lock (services stay lock-free, per the
-engine's design rule). Counters (hits, misses, evictions, stores) are
-kept per service and flow into :class:`~repro.obs.Telemetry` via
-:meth:`stats`; an optional ``max_entries`` bound evicts oldest-first,
-which is always safe — an evicted entry merely re-computes on next use.
+The cache lives in the parent process only and is read and written
+from one thread: process-pool workers never see it (they return
+``(subject, value)`` pairs that the parent stores), so it needs no lock.
+Counters (hits, misses, evictions, stores) are kept per service and
+flow into :class:`~repro.obs.Telemetry` via :meth:`stats`; an optional
+``max_entries`` bound evicts oldest-first, which is always safe — an
+evicted entry merely re-computes on next use.
 """
 
 from __future__ import annotations
 
 import enum
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
@@ -95,7 +95,7 @@ class _ServiceCounters:
 
 
 class EnrichmentCache:
-    """Thread-safe per-(service, subject) memo with usage counters."""
+    """Per-(service, subject) memo with usage counters."""
 
     def __init__(self, *, max_entries: Optional[int] = None):
         if max_entries is not None and max_entries < 1:
@@ -103,24 +103,6 @@ class EnrichmentCache:
         self._max_entries = max_entries
         self._entries: "OrderedDict[Tuple[str, str], CacheEntry]" = OrderedDict()
         self._counters: Dict[str, _ServiceCounters] = {}
-        self._lock = threading.Lock()
-
-    # -- pickling -------------------------------------------------------------
-
-    def __getstate__(self) -> Dict[str, Any]:
-        """Pickle support: the lock is process-local, so it stays behind.
-
-        A cache that crosses a ``multiprocessing`` boundary (worker
-        startup under ``spawn``) carries its entries and counters; the
-        receiving interpreter gets a fresh, unheld lock.
-        """
-        state = dict(self.__dict__)
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
 
     # -- internals ------------------------------------------------------------
 
@@ -144,30 +126,26 @@ class EnrichmentCache:
 
     def get(self, service: str, subject: str) -> Optional[CacheEntry]:
         """The entry for one lookup, counting a hit or a miss."""
-        with self._lock:
-            entry = self._entries.get((service, subject))
-            counter = self._counter(service)
-            if entry is None:
-                counter.misses += 1
-            else:
-                counter.hits += 1
-            return entry
+        entry = self._entries.get((service, subject))
+        counter = self._counter(service)
+        if entry is None:
+            counter.misses += 1
+        else:
+            counter.hits += 1
+        return entry
 
     def peek(self, service: str, subject: str) -> Optional[CacheEntry]:
         """The entry without touching the hit/miss counters."""
-        with self._lock:
-            return self._entries.get((service, subject))
+        return self._entries.get((service, subject))
 
     def put_value(self, service: str, subject: str, value: Any) -> CacheEntry:
         entry = CacheEntry(kind=EntryKind.VALUE, value=value)
-        with self._lock:
-            self._store(service, subject, entry)
+        self._store(service, subject, entry)
         return entry
 
     def put_not_found(self, service: str, subject: str) -> CacheEntry:
         entry = CacheEntry(kind=EntryKind.NOT_FOUND)
-        with self._lock:
-            self._store(service, subject, entry)
+        self._store(service, subject, entry)
         return entry
 
     def put_failure(self, service: str, subject: str, *, kind: str,
@@ -176,21 +154,17 @@ class EnrichmentCache:
         entry = CacheEntry(kind=EntryKind.FAILURE, failure_kind=kind,
                            failure_detail=detail, failure_attempts=attempts,
                            failure_exception=exception)
-        with self._lock:
-            self._store(service, subject, entry)
+        self._store(service, subject, entry)
         return entry
 
     def lookup(self, service: str, subject: str,
                compute: Callable[[], Any]) -> CacheEntry:
         """Memoising wrapper: return the entry, computing it on a miss.
 
-        ``compute`` runs *outside* the lock (it may be slow); the first
-        completed compute for a subject wins and later duplicates adopt
-        it, so concurrent workers racing on the same subject still end
-        with one canonical entry. A :class:`~repro.errors.NotFound` from
-        ``compute`` becomes a negative entry; a *permanent* (non-
-        retryable) :class:`~repro.errors.ServiceError` becomes a failure
-        entry and re-raises; transient errors propagate uncached.
+        A :class:`~repro.errors.NotFound` from ``compute`` becomes a
+        negative entry; a *permanent* (non-retryable)
+        :class:`~repro.errors.ServiceError` becomes a failure entry and
+        re-raises; transient errors propagate uncached.
         """
         entry = self.get(service, subject)
         if entry is not None:
@@ -198,30 +172,16 @@ class EnrichmentCache:
         try:
             value = compute()
         except NotFound:
-            return self._adopt(service, subject,
-                               CacheEntry(kind=EntryKind.NOT_FOUND))
+            return self.put_not_found(service, subject)
         except ServiceError as exc:
             if not exc.retryable:
-                self._adopt(service, subject, CacheEntry(
-                    kind=EntryKind.FAILURE,
-                    failure_kind=type(exc).__name__,
-                    failure_detail=str(exc),
-                    failure_attempts=getattr(exc, "resilience_attempts", 1),
-                    failure_exception=exc,
-                ))
+                self.put_failure(
+                    service, subject, kind=type(exc).__name__,
+                    detail=str(exc),
+                    attempts=getattr(exc, "resilience_attempts", 1),
+                    exception=exc)
             raise
-        return self._adopt(service, subject,
-                           CacheEntry(kind=EntryKind.VALUE, value=value))
-
-    def _adopt(self, service: str, subject: str,
-               entry: CacheEntry) -> CacheEntry:
-        """Store ``entry`` unless a concurrent compute already won."""
-        with self._lock:
-            existing = self._entries.get((service, subject))
-            if existing is not None:
-                return existing
-            self._store(service, subject, entry)
-            return entry
+        return self.put_value(service, subject, value)
 
     # -- cross-run seeding (repro.stream delta enrichment) --------------------
 
@@ -234,12 +194,11 @@ class EnrichmentCache:
         is, and replaying it would poison a later epoch that could have
         succeeded.
         """
-        with self._lock:
-            return tuple(
-                (service, subject, entry)
-                for (service, subject), entry in self._entries.items()
-                if entry.kind is not EntryKind.FAILURE
-            )
+        return tuple(
+            (service, subject, entry)
+            for (service, subject), entry in self._entries.items()
+            if entry.kind is not EntryKind.FAILURE
+        )
 
     def seed(self, entries) -> int:
         """Adopt prior-epoch entries without counting them as stores.
@@ -250,57 +209,49 @@ class EnrichmentCache:
         many entries were adopted.
         """
         adopted = 0
-        with self._lock:
-            for service, subject, entry in entries:
-                if entry.kind is EntryKind.FAILURE:
-                    continue
-                key = (service, subject)
-                if key in self._entries:
-                    continue
-                if (self._max_entries is not None
-                        and len(self._entries) >= self._max_entries):
-                    break
-                self._entries[key] = entry
-                self._counter(service).seeded += 1
-                adopted += 1
+        for service, subject, entry in entries:
+            if entry.kind is EntryKind.FAILURE:
+                continue
+            key = (service, subject)
+            if key in self._entries:
+                continue
+            if (self._max_entries is not None
+                    and len(self._entries) >= self._max_entries):
+                break
+            self._entries[key] = entry
+            self._counter(service).seeded += 1
+            adopted += 1
         return adopted
 
     # -- introspection --------------------------------------------------------
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     @property
     def hits(self) -> int:
-        with self._lock:
-            return sum(c.hits for c in self._counters.values())
+        return sum(c.hits for c in self._counters.values())
 
     @property
     def misses(self) -> int:
-        with self._lock:
-            return sum(c.misses for c in self._counters.values())
+        return sum(c.misses for c in self._counters.values())
 
     @property
     def evictions(self) -> int:
-        with self._lock:
-            return sum(c.evictions for c in self._counters.values())
+        return sum(c.evictions for c in self._counters.values())
 
     @property
     def hit_rate(self) -> float:
         """Hits over lookups (0.0 when nothing was looked up)."""
-        with self._lock:
-            hits = sum(c.hits for c in self._counters.values())
-            misses = sum(c.misses for c in self._counters.values())
+        hits, misses = self.hits, self.misses
         total = hits + misses
         return hits / total if total else 0.0
 
     def stats(self) -> Dict[str, Any]:
         """Per-service and total counters, for telemetry capture."""
-        with self._lock:
-            per_service = {name: counter.to_dict()
-                           for name, counter in sorted(self._counters.items())}
-            entries = len(self._entries)
+        per_service = {name: counter.to_dict()
+                       for name, counter in sorted(self._counters.items())}
+        entries = len(self._entries)
         totals = {"hits": sum(c["hits"] for c in per_service.values()),
                   "misses": sum(c["misses"] for c in per_service.values()),
                   "stores": sum(c["stores"] for c in per_service.values()),

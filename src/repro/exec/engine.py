@@ -1,11 +1,12 @@
-"""The deterministic execution engine: policy, pools, and the cache.
+"""The deterministic execution engine: policy, pool, and the cache.
 
 :class:`ExecutionPolicy` is the user-facing knob (``--workers N``,
 ``--no-cache``); :class:`ExecutionEngine` turns it into concrete
-resources for one pipeline run — worker pools for the parallel phases
+resources for one run — one worker pool for the enrichment precompute
 and an :class:`~repro.exec.cache.EnrichmentCache` for memoisation — and
-owns their lifecycle (the engine is a context manager; pools it built
-are shut down on exit).
+owns their lifecycle (the engine is a context manager; the pool it
+built is shut down on exit). The worker count alone picks the pool:
+one worker runs serially, more than one runs a process pool.
 
 The equivalence argument, stated once
 =====================================
@@ -15,37 +16,24 @@ count, the :class:`~repro.core.pipeline.PipelineRun` is byte-identical
 to the sequential uncached run. The engine earns that by splitting work
 into two phases with very different rules:
 
-* **Parallel phases are pure.** Collection shards per-forum: each forum
-  is an independent simulator with its own meter, its own fault-proxy
-  call counter, and a clock it only *reads* (forum meters never advance
-  the shared :class:`~repro.services.base.SimClock`), so forum order
-  cannot leak between shards; results merge in the fixed ``_COLLECTORS``
-  order regardless of completion order. Enrichment precompute shards
+* **The parallel phase is pure.** Enrichment precompute shards
   per-unique-subject and calls only the *uncharged, unfaulted* compute
   paths of the deterministic simulators — no meter, no clock, no fault
-  proxy, no retries — filling the cache with values any schedule would
-  produce identically.
-* **Effectful phases are serial.** Everything that charges a meter,
-  consults a fault rule, advances the clock, retries, or trips a
-  breaker runs on the main thread in exactly the order the sequential
-  pipeline uses. A cached value changes *what is computed* inside a
-  service call, never whether the call happens, so call indices, meter
-  charges, backoff, and gap timestamps are untouched.
-
-The one scheduling hazard is an :class:`~repro.faults.InjectedLatency`
-rule targeting a *forum*: it advances the shared clock from inside a
-collection shard, so worker interleaving would change the clock
-trajectory other rules observe. :meth:`ExecutionEngine.collection_pool`
-detects that case and degrades collection to the serial pool (the run
-stays correct, just unsharded); enrichment precompute is unaffected
-because it never touches the clock at all.
-
-Locks live here (well, in the cache the engine builds) — the simulated
-services themselves stay lock-free and concurrency-unaware.
+  proxy, no retries — so any worker schedule produces identical values.
+  The parent ships only the subjects the cache does not already hold,
+  then stores the results in canonical subject order, so the cache's
+  counters follow the serial fill exactly.
+* **Effectful phases are serial.** Collection (five forums, in order),
+  curation, and everything that charges a meter, consults a fault rule,
+  advances the clock, retries, or trips a breaker runs in the parent in
+  exactly the order the sequential pipeline uses. A cached value changes
+  *what is computed* inside a service call, never whether the call
+  happens, so call indices, meter charges, backoff, and gap timestamps
+  are untouched.
 
 The same phase split is what makes checkpoint/resume exact
-(:mod:`repro.checkpoint`): the parallel phases are pure, so a resumed
-run simply re-executes them (the precompute refills an identical cache
+(:mod:`repro.checkpoint`): the parallel phase is pure, so a resumed
+run simply re-executes it (the precompute refills an identical cache
 from the restored dataset), while the serial effects replay is the only
 place state mutates between barriers — which is why journaling one
 record per guarded lookup, with a changed-state delta, reconstructs a
@@ -55,12 +43,11 @@ crashed run bit-for-bit under any worker count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
 from ..errors import ConfigurationError
-from ..faults.plan import FaultPlan, InjectedLatency
 from .cache import EnrichmentCache
-from .pool import POOL_KINDS, SerialPool, WorkerPool, make_pool
+from .pool import POOL_KINDS, WorkerPool, make_pool
 
 
 @dataclass(frozen=True)
@@ -78,18 +65,19 @@ class ExecutionPolicy:
     cache: bool = True
     #: Optional cache bound (oldest-first eviction); None = unbounded.
     cache_max_entries: Optional[int] = None
-    #: Which pool backs the parallel phases: ``serial`` forces inline
-    #: execution regardless of ``workers``; ``thread`` is the classic
-    #: shared-memory pool; ``process`` runs the pure enrichment
-    #: precompute in ``multiprocessing`` workers (collection stays on
-    #: threads — its shards mutate parent-side forum meters).
-    pool: str = "thread"
+    #: Which pool backs the precompute. None (the default) derives it
+    #: from ``workers``: ``serial`` for one worker, ``process`` above.
+    #: ``serial`` may still be forced explicitly for any worker count.
+    pool: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ConfigurationError(
                 f"workers must be >= 1, got {self.workers}"
             )
+        if self.pool is None:
+            object.__setattr__(
+                self, "pool", "serial" if self.workers == 1 else "process")
         if self.cache_max_entries is not None and self.cache_max_entries < 1:
             raise ConfigurationError(
                 f"cache_max_entries must be >= 1 or None, "
@@ -113,11 +101,11 @@ SEQUENTIAL = ExecutionPolicy(workers=1, cache=False)
 
 
 class ExecutionEngine:
-    """Builds and owns the pools + cache for one pipeline run."""
+    """Builds and owns the enrichment pool + cache for one run."""
 
     def __init__(self, policy: Optional[ExecutionPolicy] = None):
         self.policy = policy or ExecutionPolicy()
-        self._pools: List[WorkerPool] = []
+        self._pool: Optional[WorkerPool] = None
         #: Task accounting of pools already closed — :meth:`stats` keeps
         #: reporting them after the engine context exits.
         self._retired_stats: List[Dict[str, Any]] = []
@@ -130,44 +118,24 @@ class ExecutionEngine:
             return None
         return EnrichmentCache(max_entries=self.policy.cache_max_entries)
 
-    def _pool(self, workers: int, label: str,
-              kind: Optional[str] = None) -> WorkerPool:
-        pool = make_pool(workers, kind if kind is not None else self.policy.pool)
-        pool.label = label
-        self._pools.append(pool)
-        return pool
-
-    def collection_pool(self, fault_plan: Optional[FaultPlan],
-                        forum_names: Iterable[str]) -> WorkerPool:
-        """The pool for the per-forum collection shards.
-
-        Degrades to serial when the fault plan injects latency into a
-        forum — that rule advances the shared clock from inside a shard,
-        and a deterministic clock trajectory requires the shards to run
-        in canonical order (see the module docstring). Under
-        ``pool=process`` collection runs on *threads*: each forum shard
-        mutates its parent-side forum meter and fault-proxy counters,
-        which must stay in the parent's memory.
-        """
-        workers = self.policy.workers
-        if workers > 1 and fault_plan is not None:
-            names = set(forum_names)
-            if any(isinstance(rule, InjectedLatency) and rule.service in names
-                   for rule in fault_plan.rules):
-                workers = 1
-        kind = "thread" if self.policy.pool == "process" else self.policy.pool
-        return self._pool(workers, "collection", kind)
-
     def enrichment_pool(self) -> WorkerPool:
-        """The pool for the per-unique-subject precompute shards."""
-        return self._pool(self.policy.workers, "enrichment")
+        """The pool for the per-unique-subject precompute shards.
+
+        Built on first use and shared by every later caller until
+        :meth:`close` — a stream's epochs and a service's batches reuse
+        one set of worker processes instead of leaking one per call.
+        """
+        if self._pool is None:
+            self._pool = make_pool(self.policy.workers, self.policy.pool)
+            self._pool.label = "enrichment"
+        return self._pool
 
     # -- observability --------------------------------------------------------
 
     def stats(self) -> Dict[str, Any]:
         """Per-pool task/busy accounting (live and retired pools)."""
-        pools = self._retired_stats + [pool.stats()
-                                       for pool in self._pools]
+        pools = self._retired_stats + ([self._pool.stats()]
+                                       if self._pool is not None else [])
         return {
             "policy": self.policy.describe(),
             "pools": pools,
@@ -178,10 +146,10 @@ class ExecutionEngine:
     # -- lifecycle ------------------------------------------------------------
 
     def close(self) -> None:
-        for pool in self._pools:
-            self._retired_stats.append(pool.stats())
-            pool.close()
-        self._pools.clear()
+        if self._pool is not None:
+            self._retired_stats.append(self._pool.stats())
+            self._pool.close()
+            self._pool = None
 
     def __enter__(self) -> "ExecutionEngine":
         return self

@@ -5,36 +5,33 @@ results **in task-submission order**, no matter which worker finished
 first. That canonical merge is the property the deterministic execution
 engine (:mod:`repro.exec.engine`) builds on: as long as each task is a
 pure function of its input (no shared mutable state), the merged output
-of ``ThreadPool(4)`` is byte-identical to :class:`SerialPool`.
+of ``ProcessPool(4)`` is byte-identical to :class:`SerialPool`.
 
-Three implementations share the interface:
+Two implementations share the interface:
 
 * :class:`SerialPool` — runs tasks inline, one after another. The
   reference semantics; zero overhead, zero concurrency.
-* :class:`ThreadPool` — a ``concurrent.futures`` thread pool. Results
+* :class:`ProcessPool` — a ``concurrent.futures`` process pool. Results
   are gathered by submission index; a task that raises re-raises the
-  exception of the *lowest-indexed* failing task (again independent of
-  completion order, so failures are deterministic too).
-* :class:`ProcessPool` — a ``concurrent.futures`` process pool with the
-  same submission-order merge and lowest-indexed-failure semantics.
-  Tasks and their results cross a pickle boundary, so callers must hand
-  it module-level callables or picklable task objects — never closures
-  over live services, meters, or locks.
+  exception of the *lowest-indexed* failing task (independent of
+  completion order, so failures are deterministic too). Tasks and their
+  results cross a pickle boundary, so callers must hand it module-level
+  callables or picklable task objects — never closures over live
+  services or meters.
 
-Note on the GIL: CPython threads do not speed up pure-Python compute;
-the engine's wall-time wins on thread pools come from the
-:class:`~repro.exec.cache.EnrichmentCache` deduplicating work, while the
-pool provides the sharding/merge structure. :class:`ProcessPool` is the
-true multi-core path: each worker is its own interpreter, so the pure
-precompute phase scales with physical cores.
+There is no thread pool: every parallel task in the pipeline is
+GIL-bound pure compute with no real I/O to overlap, so threads would add
+scheduling and locking without a speed-up. Each process worker is its
+own interpreter, so the pure precompute scales with physical cores.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import threading
+import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from collections import OrderedDict
+from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -52,36 +49,33 @@ class WorkerPool:
 
     #: How many tasks may run concurrently (1 for serial pools).
     workers: int = 1
-    #: Display label set by the engine ("collection", "enrichment", ...).
+    #: Display label set by the owner ("enrichment", "investigate").
     label: str = "pool"
 
     def __init__(self) -> None:
         self.tasks = 0
         self.busy_seconds = 0.0
         self._per_worker: Dict[str, Dict[str, float]] = {}
-        self._stats_lock = threading.Lock()
 
     def _record_task(self, worker: str, seconds: float) -> None:
-        with self._stats_lock:
-            self.tasks += 1
-            self.busy_seconds += seconds
-            slot = self._per_worker.setdefault(
-                worker, {"tasks": 0, "busy_seconds": 0.0})
-            slot["tasks"] += 1
-            slot["busy_seconds"] += seconds
+        self.tasks += 1
+        self.busy_seconds += seconds
+        slot = self._per_worker.setdefault(
+            worker, {"tasks": 0, "busy_seconds": 0.0})
+        slot["tasks"] += 1
+        slot["busy_seconds"] += seconds
 
     def stats(self) -> Dict[str, object]:
         """Task accounting for the observatory's exec snapshot."""
-        with self._stats_lock:
-            return {
-                "label": self.label,
-                "kind": type(self).__name__,
-                "workers": self.workers,
-                "tasks": self.tasks,
-                "busy_seconds": self.busy_seconds,
-                "per_worker": {name: dict(slot) for name, slot
-                               in sorted(self._per_worker.items())},
-            }
+        return {
+            "label": self.label,
+            "kind": type(self).__name__,
+            "workers": self.workers,
+            "tasks": self.tasks,
+            "busy_seconds": self.busy_seconds,
+            "per_worker": {name: dict(slot) for name, slot
+                           in sorted(self._per_worker.items())},
+        }
 
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
         raise NotImplementedError
@@ -117,54 +111,28 @@ class SerialPool(WorkerPool):
         return results
 
 
-class ThreadPool(WorkerPool):
-    """Thread-backed pool whose merge order ignores completion order."""
-
-    def __init__(self, workers: int):
-        super().__init__()
-        if workers < 1:
-            raise ValueError("a pool needs at least one worker")
-        self.workers = workers
-        self._executor = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-exec"
-        )
-
-    def _timed(self, fn: Callable[[T], R], item: T) -> R:
-        started = time.perf_counter()
-        try:
-            return fn(item)
-        finally:
-            self._record_task(threading.current_thread().name,
-                              time.perf_counter() - started)
-
-    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
-        futures = [self._executor.submit(self._timed, fn, item)
-                   for item in items]
-        # Gather in submission order. Waiting on futures[0] first is fine:
-        # every future completes regardless of which we await, and
-        # .result() re-raises the lowest-indexed failure deterministically.
-        results: List[R] = []
-        error: BaseException | None = None
-        for future in futures:
-            try:
-                results.append(future.result())
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                error = error or exc
-        if error is not None:
-            raise error
-        return results
-
-    def close(self) -> None:
-        self._executor.shutdown(wait=True)
+#: Worker-side memo of unpickled task callables, keyed by their pickle.
+#: Only pool workers fill it (the parent never runs :func:`_timed_call`).
+_TASKS: "OrderedDict[bytes, Callable]" = OrderedDict()
+_TASK_MEMO_SIZE = 4
 
 
-def _timed_call(fn: Callable[[T], R], item: T) -> tuple:
+def _timed_call(payload: bytes, item: T) -> tuple:
     """Worker-side wrapper: run one task, report who ran it for how long.
 
     Module-level on purpose — it must be picklable for the process pool.
-    Timing happens inside the worker (the parent cannot observe a child's
-    busy time), and the accounting triple travels back with the result.
+    ``payload`` is the task callable, pickled once per :meth:`map`; a
+    worker unpickles each distinct payload once and reuses it for later
+    chunks and maps, so a heavy task (the annotator and its lexicons) is
+    not rebuilt for every chunk of every batch. Timing happens inside
+    the worker (the parent cannot observe a child's busy time), and the
+    accounting triple travels back with the result.
     """
+    fn = _TASKS.get(payload)
+    if fn is None:
+        fn = _TASKS[payload] = pickle.loads(payload)
+        if len(_TASKS) > _TASK_MEMO_SIZE:
+            _TASKS.popitem(last=False)
     started = time.perf_counter()
     result = fn(item)
     return (result, multiprocessing.current_process().name,
@@ -195,10 +163,12 @@ class ProcessPool(WorkerPool):
                                              mp_context=mp_context)
 
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
-        futures = [self._executor.submit(_timed_call, fn, item)
+        payload = pickle.dumps(fn)
+        futures = [self._executor.submit(_timed_call, payload, item)
                    for item in items]
-        # Same gather discipline as ThreadPool: submission order, with
-        # the lowest-indexed failure re-raised deterministically.
+        # Gather in submission order. Waiting on futures[0] first is fine:
+        # every future completes regardless of which we await, and the
+        # lowest-indexed failure is re-raised deterministically.
         results: List[R] = []
         error: BaseException | None = None
         for future in futures:
@@ -217,32 +187,23 @@ class ProcessPool(WorkerPool):
         self._executor.shutdown(wait=True)
 
 
-#: The pool kinds `--pool` accepts, in reference-semantics-first order.
-POOL_KINDS = ("serial", "thread", "process")
+#: The pool kinds an :class:`~repro.exec.ExecutionPolicy` accepts,
+#: reference semantics first.
+POOL_KINDS = ("serial", "process")
 
 
-def make_pool(workers: int, kind: str = "thread") -> WorkerPool:
+def make_pool(workers: int, kind: str = "process") -> WorkerPool:
     """Build the pool a policy asks for.
 
     ``serial`` (or ``workers <= 1`` under any kind) → :class:`SerialPool`;
-    ``thread`` → :class:`ThreadPool`; ``process`` → :class:`ProcessPool`.
+    ``process`` → :class:`ProcessPool`.
     """
     if kind not in POOL_KINDS:
         raise ValueError(
             f"unknown pool kind {kind!r}; expected one of {POOL_KINDS}")
     if kind == "serial" or workers <= 1:
         return SerialPool()
-    if kind == "process":
-        return ProcessPool(workers)
-    return ThreadPool(workers)
-
-
-def canonical_merge(chunks: Sequence[Sequence[R]]) -> List[R]:
-    """Flatten per-shard result lists in shard order (helper for tests)."""
-    merged: List[R] = []
-    for chunk in chunks:
-        merged.extend(chunk)
-    return merged
+    return ProcessPool(workers)
 
 
 def shard(items: Sequence[T], shards: int) -> List[List[T]]:

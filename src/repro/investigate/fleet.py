@@ -6,9 +6,9 @@ uses everywhere else:
 1. **Pure probe phase** (parallelisable): every record's URL is navigated
    by an :class:`~repro.investigate.investigator.Investigator` holding
    only picklable, uncharged substrates. Shards go through the standard
-   :mod:`repro.exec` pools (serial/thread/process); results are re-merged
+   :mod:`repro.exec` pools (serial or process); results are re-merged
    into canonical record order, so the probe list is byte-identical for
-   any ``--pool``/``--workers`` combination.
+   any ``--workers`` count.
 2. **Serial charged phase**: evidence packages are assembled in record
    order, then each unique payload hash is submitted to VirusTotal —
    the fleet's only meter charges — in sorted-hash order, under a retry

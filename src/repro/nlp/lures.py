@@ -78,10 +78,14 @@ class LureDetector:
         for lure, phrases in _PHRASES.items():
             patterns: List[Tuple[str, re.Pattern]] = []
             for phrase in phrases:
+                # Explicit re.UNICODE (the str default) keeps the pickled
+                # flags equal to the compile flags: a process worker then
+                # unpickles these from its inherited ``re`` cache.
                 if phrase in _WORD_BOUNDARY:
-                    pattern = re.compile(rf"\b{re.escape(phrase)}\b")
+                    pattern = re.compile(rf"\b{re.escape(phrase)}\b",
+                                         re.UNICODE)
                 else:
-                    pattern = re.compile(re.escape(phrase))
+                    pattern = re.compile(re.escape(phrase), re.UNICODE)
             # (compiled below to keep the lambda-free loop readable)
                 patterns.append((phrase, pattern))
             self._compiled[lure] = patterns

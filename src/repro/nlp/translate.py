@@ -48,7 +48,12 @@ def _compile_template(template: Template) -> Optional[Pattern]:
         cursor = match.end()
     pattern_parts.append(re.escape(template.text[cursor:]))
     try:
-        return re.compile("^" + "".join(pattern_parts) + "$", re.DOTALL)
+        # re.UNICODE is the str default; spelling it out makes a pickled
+        # pattern's flags equal its compile flags, so a forked process
+        # worker unpickling the annotator finds every template in the
+        # ``re`` cache it inherited instead of recompiling ~350 of them.
+        return re.compile("^" + "".join(pattern_parts) + "$",
+                          re.DOTALL | re.UNICODE)
     except re.error:
         return None
 

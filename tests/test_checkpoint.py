@@ -455,10 +455,10 @@ def test_cli_crash_then_resume_round_trip(tmp_path, capsys):
 
 def test_execution_policy_describe():
     assert (ExecutionPolicy(workers=4).describe()
-            == "workers=4 cache=on pool=thread")
-    assert (ExecutionPolicy(cache=False).describe()
-            == "workers=1 cache=off pool=thread")
-    assert (ExecutionPolicy(cache_max_entries=9).describe()
-            == "workers=1 cache=on(max=9) pool=thread")
-    assert (ExecutionPolicy(workers=4, pool="process").describe()
             == "workers=4 cache=on pool=process")
+    assert (ExecutionPolicy(cache=False).describe()
+            == "workers=1 cache=off pool=serial")
+    assert (ExecutionPolicy(cache_max_entries=9).describe()
+            == "workers=1 cache=on(max=9) pool=serial")
+    assert (ExecutionPolicy(workers=4, pool="serial").describe()
+            == "workers=4 cache=on pool=serial")

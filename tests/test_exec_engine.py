@@ -1,7 +1,7 @@
 """Unit tests for ``repro.exec``: pools, the enrichment cache, the
 engine's policy handling, and the telemetry capture of cache stats."""
 
-import threading
+import time
 
 import pytest
 
@@ -17,15 +17,19 @@ from repro.exec import (
     EntryKind,
     ExecutionEngine,
     ExecutionPolicy,
+    ProcessPool,
     SerialPool,
-    ThreadPool,
     WorkerPool,
-    canonical_merge,
     make_pool,
 )
-from repro.faults import FaultPlan
-from repro.faults.plan import ErrorRate, InjectedLatency
 from repro.obs import Telemetry
+
+
+def _sleep_then_stamp(item):
+    """Module-level (picklable) task: sleep, then report when it ended."""
+    index, delay = item
+    time.sleep(delay)
+    return index, time.monotonic()
 
 
 class TestPools:
@@ -34,50 +38,22 @@ class TestPools:
         assert pool.map(lambda x: x * 2, [3, 1, 2]) == [6, 2, 4]
         assert pool.workers == 1
 
-    def test_thread_pool_preserves_order(self):
-        with ThreadPool(4) as pool:
-            assert pool.map(lambda x: x * 2, range(50)) == \
-                [x * 2 for x in range(50)]
-
-    def test_thread_pool_merge_ignores_completion_order(self):
-        # Later-submitted tasks finish first (they wait on earlier ones
-        # via events), yet the merged result stays in submission order.
-        events = [threading.Event() for _ in range(4)]
-
-        def task(i):
-            if i < 3:
-                events[i + 1].wait(timeout=5)
-            events[i].set()
-            return i
-
-        with ThreadPool(4) as pool:
-            events[3].set()
-            assert pool.map(task, [0, 1, 2, 3]) == [0, 1, 2, 3]
-
-    def test_thread_pool_raises_lowest_indexed_failure(self):
-        def task(i):
-            if i in (1, 3):
-                raise ValueError(f"boom {i}")
-            return i
-
-        with ThreadPool(2) as pool:
-            with pytest.raises(ValueError, match="boom 1"):
-                pool.map(task, range(5))
+    def test_process_pool_merge_ignores_completion_order(self):
+        # Earlier-submitted tasks sleep longer, so they finish last; the
+        # merged result stays in submission order all the same.
+        items = [(index, 0.1 * (3 - index)) for index in range(4)]
+        with ProcessPool(4) as pool:
+            merged = pool.map(_sleep_then_stamp, items)
+        assert [index for index, _ in merged] == [0, 1, 2, 3]
+        assert merged[3][1] < merged[0][1]  # completion order differed
 
     def test_make_pool_picks_implementation(self):
         assert isinstance(make_pool(1), SerialPool)
         assert isinstance(make_pool(0), SerialPool)
         pool = make_pool(3)
-        assert isinstance(pool, ThreadPool)
+        assert isinstance(pool, ProcessPool)
         assert pool.workers == 3
         pool.close()
-
-    def test_thread_pool_rejects_zero_workers(self):
-        with pytest.raises(ValueError):
-            ThreadPool(0)
-
-    def test_canonical_merge_flattens_in_shard_order(self):
-        assert canonical_merge([[1, 2], [], [3], [4, 5]]) == [1, 2, 3, 4, 5]
 
     def test_worker_pool_interface_is_abstract(self):
         with pytest.raises(NotImplementedError):
@@ -190,28 +166,6 @@ class TestEnrichmentCache:
         assert stats["totals"]["stores"] == 1
         assert stats["hit_rate"] == pytest.approx(0.5)
 
-    def test_concurrent_lookups_converge_on_one_entry(self):
-        cache = EnrichmentCache()
-        results = []
-
-        def compute_factory(i):
-            return lambda: f"value-{i}"
-
-        def worker(i):
-            results.append(
-                cache.lookup("svc", "subject", compute_factory(i)).value
-            )
-
-        threads = [threading.Thread(target=worker, args=(i,))
-                   for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        # Whichever compute won, every caller saw the same value.
-        assert len(set(results)) == 1
-        assert len(cache) == 1
-
 
 class TestExecutionPolicy:
     def test_defaults_are_serial_with_cache(self):
@@ -229,6 +183,13 @@ class TestExecutionPolicy:
         with pytest.raises(ConfigurationError):
             ExecutionPolicy(cache_max_entries=0)
 
+    def test_worker_count_picks_the_pool(self):
+        assert ExecutionPolicy(workers=1).pool == "serial"
+        assert ExecutionPolicy(workers=2).pool == "process"
+        assert ExecutionPolicy(workers=4, pool="serial").pool == "serial"
+        with pytest.raises(ConfigurationError):
+            ExecutionPolicy(workers=4, pool="thread")
+
 
 class TestExecutionEngine:
     def test_build_cache_honours_policy(self):
@@ -238,30 +199,20 @@ class TestExecutionEngine:
 
     def test_pools_match_worker_count(self):
         with ExecutionEngine(ExecutionPolicy(workers=4)) as engine:
-            assert engine.enrichment_pool().workers == 4
-            assert engine.collection_pool(None, ["Twitter"]).workers == 4
-
-    def test_collection_degrades_on_forum_latency_injection(self):
-        plan = FaultPlan(seed=1, rules=(InjectedLatency("Reddit", 0.5),))
-        with ExecutionEngine(ExecutionPolicy(workers=4)) as engine:
-            pool = engine.collection_pool(plan, ["Twitter", "Reddit"])
-            assert pool.workers == 1
-            # Enrichment precompute never touches the clock: unaffected.
-            assert engine.enrichment_pool().workers == 4
-
-    def test_collection_keeps_workers_for_service_latency(self):
-        plan = FaultPlan(seed=1, rules=(InjectedLatency("openai", 0.5),
-                                        ErrorRate("Reddit", 0.5)))
-        with ExecutionEngine(ExecutionPolicy(workers=4)) as engine:
-            pool = engine.collection_pool(plan, ["Twitter", "Reddit"])
-            assert pool.workers == 4
+            pool = engine.enrichment_pool()
+            assert isinstance(pool, ProcessPool) and pool.workers == 4
+            # Built once: every later caller shares the same pool.
+            assert engine.enrichment_pool() is pool
+        assert len(engine.stats()["pools"]) == 1  # retired, still reported
+        with ExecutionEngine(ExecutionPolicy(workers=1)) as engine:
+            assert isinstance(engine.enrichment_pool(), SerialPool)
 
     def test_close_shuts_down_pools(self):
         engine = ExecutionEngine(ExecutionPolicy(workers=2))
         pool = engine.enrichment_pool()
         engine.close()
         with pytest.raises(RuntimeError):
-            pool.map(lambda x: x, [1])  # executor already shut down
+            pool.map(abs, [1])  # executor already shut down
 
 
 class TestTelemetryCacheCapture:

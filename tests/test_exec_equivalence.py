@@ -8,8 +8,8 @@ same final simulated-clock position. These tests run the full pipeline
 grid (3 seeds × {none, flaky, outage} × serial/workers∈{2,4} ×
 cache-on/off) on a small world and compare fingerprints, plus the
 cross-pool differential matrix (2 seeds × {none, flaky} ×
-{serial, thread, process} × workers∈{1,4}), and crash-at-boundary
-resume under the process pool.
+{serial, process} × workers∈{1,4}), and crash-at-boundary resume under
+the process pool.
 
 The fingerprint deliberately covers more than the run's outputs: meter
 snapshots and ``clock.now`` prove the *effects* (charges, backoff,
@@ -61,7 +61,7 @@ def test_grid_equivalent_to_sequential(seed, profile):
 
 # -- the cross-pool differential matrix ---------------------------------------
 #
-# serial × thread × process backends must all reproduce the sequential
+# serial and process backends must both reproduce the sequential
 # fingerprint — dataset rows, gaps, report, meter charges, clock — over
 # seeds × fault profiles × worker counts. The process pool runs the
 # pure precompute in real OS subprocesses, so this is the proof that
@@ -88,11 +88,12 @@ def test_pool_matrix_equivalent_to_sequential(seed, profile):
 
 
 def test_process_pool_crash_resume_matches_uninterrupted(tmp_path, capsys):
-    """Crash at an enrichment boundary under ``--pool process``, resume,
-    and the resumed report must match the uninterrupted process-pool
-    run byte-for-byte (the manifest round-trips the pool kind)."""
+    """Crash at an enrichment boundary under ``--workers 4`` (a process
+    pool), resume, and the resumed report must match the uninterrupted
+    process-pool run byte-for-byte (the manifest round-trips the pool
+    kind)."""
     base = ["--seed", "7", "--campaigns", "6", "--quiet",
-            "--faults", "flaky", "--workers", "4", "--pool", "process"]
+            "--faults", "flaky", "--workers", "4"]
     checkpoint_dir = tmp_path / "ck"
     crash = base + ["--checkpoint-dir", str(checkpoint_dir),
                     "--crash-at", "whois:3", "report"]

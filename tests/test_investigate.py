@@ -5,7 +5,7 @@ Covers the acceptance guarantees end to end:
 * playbook validation and the shipped presets,
 * §6 byte-identity: the ``case-study`` preset reproduces
   ``run_case_study`` field-for-field (and table-for-table),
-* pool-matrix equivalence: serial/thread/process fleets produce the
+* pool-matrix equivalence: serial and process fleets produce the
   same fingerprint, with and without fault profiles,
 * evidence-package integrity (verification, tamper detection, on-disk
   round trips),
@@ -201,7 +201,6 @@ class TestFleetEquivalence:
             len(report.payloads)
 
     @pytest.mark.parametrize("pool_kind,workers", [
-        ("thread", 4),
         ("process", 4),
     ])
     def test_pool_matrix_matches_serial(self, serial_fleet,

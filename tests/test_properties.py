@@ -3,16 +3,15 @@
 import datetime as dt
 import random
 import string
-import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exec import (
     EnrichmentCache,
+    ProcessPool,
     SerialPool,
-    ThreadPool,
-    canonical_merge,
     shard,
 )
 from repro.nlp.brands_ner import _MAX_SCAN_TOKENS, BrandRecognizer
@@ -225,6 +224,35 @@ class TestAnonymizationProperties:
         assert scrub_text(text) == text
 
 
+def _affine(value):
+    """Module-level process-pool tasks: picklable by name."""
+    return value * 31 + 7
+
+
+def _affine_chunk(chunk):
+    return [_affine(value) for value in chunk]
+
+
+def _finish_at(item):
+    index, delay = item
+    time.sleep(delay)
+    return index
+
+
+def _fail_for(item):
+    index, failures = item
+    if index in failures:
+        raise ValueError(f"task-{index}")
+    return index
+
+
+@pytest.fixture(scope="module")
+def process_pool():
+    """One 6-worker process pool shared by every hypothesis example."""
+    with ProcessPool(6) as pool:
+        yield pool
+
+
 class TestExecutionEngineProperties:
     """The engine's invariants: stable cache keys, canonical merges,
     and idempotent (zero-recompute) second passes."""
@@ -256,32 +284,25 @@ class TestExecutionEngineProperties:
 
     @given(st.permutations(list(range(6))))
     @settings(max_examples=12, deadline=None)
-    def test_merge_order_canonical_under_shuffled_completion(self, order):
-        # Tasks are *released* in an arbitrary permutation (so they
-        # complete in that order), yet the merged result must always be
-        # in submission order.
-        events = [threading.Event() for _ in range(len(order))]
-
-        def task(i):
-            assert events[i].wait(timeout=10)
-            return i
-
-        with ThreadPool(len(order)) as pool:
-            releaser = threading.Thread(
-                target=lambda: [events[i].set() for i in order])
-            releaser.start()
-            merged = pool.map(task, range(len(order)))
-            releaser.join()
+    def test_merge_order_canonical_under_shuffled_completion(
+            self, process_pool, order):
+        # Tasks are *finished* in an arbitrary permutation (each sleeps
+        # in proportion to its rank in it, one worker apiece), yet the
+        # merged result must always be in submission order.
+        delays = [0.01 * order.index(i) for i in range(len(order))]
+        merged = process_pool.map(_finish_at, list(enumerate(delays)))
         assert merged == list(range(len(order)))
 
     @given(st.lists(st.integers(), max_size=40),
-           st.integers(min_value=2, max_value=4))
+           st.integers(min_value=1, max_value=6))
     @settings(max_examples=20, deadline=None)
-    def test_thread_pool_equals_serial_pool(self, items, workers):
-        serial = SerialPool().map(lambda x: x * 31 + 7, items)
-        with ThreadPool(workers) as pool:
-            threaded = pool.map(lambda x: x * 31 + 7, items)
-        assert threaded == serial
+    def test_process_pool_equals_serial_pool(self, process_pool, items,
+                                             shards):
+        serial = SerialPool().map(_affine, items)
+        assert process_pool.map(_affine, items) == serial
+        chunks = shard(items, shards)
+        assert process_pool.map(_affine_chunk, chunks) == \
+            SerialPool().map(_affine_chunk, chunks)
 
     @given(st.lists(st.integers(), max_size=60),
            st.integers(min_value=1, max_value=9))
@@ -299,23 +320,17 @@ class TestExecutionEngineProperties:
         for chunk in chunks:
             indices = [index for index, _ in chunk]
             assert indices == sorted(indices)  # each shard a subsequence
-        merged = canonical_merge(chunks)
+        merged = [item for chunk in chunks for item in chunk]
         assert sorted(merged) == sorted(indexed)  # loss-free permutation
         assert shard(indexed, shards) == chunks  # deterministic repartition
 
-    @given(st.sets(st.integers(min_value=0, max_value=11), min_size=1),
-           st.integers(min_value=2, max_value=4))
+    @given(st.sets(st.integers(min_value=0, max_value=11), min_size=1))
     @settings(max_examples=20, deadline=None)
-    def test_pool_merge_reraises_lowest_indexed_failure(self, failures,
-                                                        workers):
-        def task(i):
-            if i in failures:
-                raise ValueError(f"task-{i}")
-            return i
-
-        with ThreadPool(workers) as pool:
-            with pytest.raises(ValueError) as excinfo:
-                pool.map(task, range(12))
+    def test_pool_merge_reraises_lowest_indexed_failure(self, process_pool,
+                                                        failures):
+        with pytest.raises(ValueError) as excinfo:
+            process_pool.map(_fail_for, [(i, frozenset(failures))
+                                         for i in range(12)])
         assert str(excinfo.value) == f"task-{min(failures)}"
 
     @given(st.lists(st.tuples(services, st.text(min_size=1, max_size=12)),

@@ -359,3 +359,38 @@ class TestDegradedOperation:
         timed_out = [rid for rid, status in service.state.statuses.items()
                      if status == "timed_out"]
         assert len(timed_out) == stats["timed_out"]
+
+
+class TestEnrichmentPoolReuse:
+    def test_multi_batch_serve_shares_one_process_pool(self, monkeypatch):
+        """Every batch reuses the engine's one enrichment pool: a
+        2-worker serve keeps at most 2 worker processes alive and
+        reports a single pool, however many batches it enriches."""
+        import multiprocessing
+
+        from repro.exec import ExecutionEngine, ExecutionPolicy
+
+        before = {child.pid for child in multiprocessing.active_children()}
+        live_workers = []
+        build = ExecutionEngine.enrichment_pool
+
+        def sampled(engine):
+            pool = build(engine)
+            live_workers.append(sum(
+                1 for child in multiprocessing.active_children()
+                if child.pid not in before))
+            return pool
+
+        monkeypatch.setattr(ExecutionEngine, "enrichment_pool", sampled)
+        service = run_to_completion(
+            scenario=ScenarioConfig(seed=7, n_campaigns=10),
+            load=LoadSpec(profile="steady", requests=160, reporters=80,
+                          seed=7),
+            config=ServeConfig(batch_size=16),
+            execution=ExecutionPolicy(workers=2, pool="process"),
+        )
+        assert len(live_workers) >= 4, "too few batches to show reuse"
+        assert max(live_workers) <= 2
+        pools = service._engine.stats()["pools"]
+        assert [(p["label"], p["kind"], p["workers"]) for p in pools] == \
+            [("enrichment", "ProcessPool", 2)]

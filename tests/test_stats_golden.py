@@ -32,15 +32,10 @@ CASES = {
                              "--quiet", "stats"],
     "stats_seed7_flaky.txt": ["--seed", "7", "--campaigns", "10",
                               "--quiet", "--faults", "flaky", "stats"],
-    "stats_seed7_workers4.txt": ["--seed", "7", "--campaigns", "10",
-                                 "--quiet", "--workers", "4", "stats"],
     "stats_seed7_nocache.txt": ["--seed", "7", "--campaigns", "10",
                                 "--quiet", "--no-cache", "stats"],
     "stats_seed7_epochs3.txt": ["--seed", "7", "--campaigns", "10",
                                 "--quiet", "stats", "--epochs", "3"],
-    "stats_seed7_process4.txt": ["--seed", "7", "--campaigns", "10",
-                                 "--quiet", "--workers", "4",
-                                 "--pool", "process", "stats"],
     "stats_seed7_hostile.txt": ["--seed", "7", "--campaigns", "10",
                                 "--quiet", "--hostile", "poison", "stats"],
 }
@@ -49,9 +44,9 @@ CASES = {
 def _without_table(text: str, title: str) -> str:
     """Drop one rendered table (a blank-line-separated chunk) by title.
 
-    The Pools table's task counts legitimately differ across worker
-    counts and pool kinds (shard fan-out), so cross-golden equivalence
-    checks compare everything *around* it.
+    The Pools table's pool kind and task counts legitimately differ
+    across worker counts (shard fan-out), so equivalence checks against
+    a golden compare everything *around* it.
     """
     chunks = text.split("\n\n")
     return "\n\n".join(c for c in chunks
@@ -185,24 +180,26 @@ def test_goldens_cover_cache_and_resilience_tables():
     assert "Hit rate" not in uncached
     flaky = (GOLDEN_DIR / "stats_seed7_flaky.txt").read_text()
     assert "Enrichment gaps:" in flaky
-    # Parallel and serial runs print byte-identical stats apart from the
-    # header's workers field, the precompute span's workers attr, and
-    # the Pools table's shard fan-out — the golden twins are themselves
-    # an equivalence check.
-    parallel = (GOLDEN_DIR / "stats_seed7_workers4.txt").read_text()
-    assert "Pools" in cached and "Pools" in parallel
-    assert (_without_table(parallel, "Pools")
-            == _without_table(cached, "Pools").replace("workers=1",
-                                                       "workers=4"))
-    # The process-pool golden is the same equivalence one axis further:
-    # identical bytes outside the Pools table, with only the header's
-    # pool field (and worker count) differing from the serial twin.
-    process = (GOLDEN_DIR / "stats_seed7_process4.txt").read_text()
-    assert "pool=process" in process.splitlines()[0]
-    assert (_without_table(process, "Pools")
-            == _without_table(cached, "Pools")
+
+
+def test_workers4_stats_equals_serial_golden(frozen_wall_clock, capsys):
+    """`--workers 4` runs the precompute on a process pool, yet prints
+    the serial golden byte-for-byte outside the Pools table once the
+    header's and precompute span's ``workers=``/``pool=`` tokens are
+    substituted — the engine's headline guarantee, checked live."""
+    argv = ["--seed", "7", "--campaigns", "10", "--quiet",
+            "--workers", "4", "stats"]
+    assert cli.main(argv) == 0
+    output = capsys.readouterr().out
+    assert "workers=4 pool=process" in output.splitlines()[0]
+    pools = next(chunk for chunk in output.split("\n\n")
+                 if chunk.startswith("Pools"))
+    assert "ProcessPool" in pools and "collection" not in pools
+    serial = (GOLDEN_DIR / "stats_seed7_none.txt").read_text()
+    assert (_without_table(output, "Pools")
+            == _without_table(serial, "Pools")
             .replace("workers=1", "workers=4")
-            .replace("pool=thread", "pool=process"))
+            .replace("pool=serial", "pool=process"))
 
 
 def test_hostile_golden_covers_the_quarantine_table():
@@ -283,10 +280,12 @@ INVESTIGATE_SUB = ["investigate", "--playbook", "full-funnel",
 
 INVESTIGATE_CASES = {
     "investigate_seed7_full.txt": INVESTIGATE_BASE + INVESTIGATE_SUB,
-    "investigate_seed7_process4.txt": (
-        INVESTIGATE_BASE + ["--workers", "4", "--pool", "process"]
-        + INVESTIGATE_SUB),
 }
+
+
+def _fleet_fingerprint(text):
+    return next(line for line in text.splitlines()
+                if line.startswith("investigate fingerprint="))
 
 
 @pytest.mark.parametrize("golden_name", sorted(INVESTIGATE_CASES))
@@ -314,8 +313,8 @@ def test_investigate_output_matches_golden(golden_name, frozen_wall_clock,
 
 def test_investigate_golden_covers_the_investigations_table():
     """The checked-in investigate snapshot really shows the fleet story:
-    funnel outcomes, evidence accounting, step latencies, and — across
-    the serial/process twins — the pool-equivalence fingerprint."""
+    funnel outcomes, evidence accounting, step latencies, and the fleet
+    fingerprint."""
     full = (GOLDEN_DIR / "investigate_seed7_full.txt").read_text()
     header = full.splitlines()[0]
     assert "playbook=full-funnel" in header
@@ -326,16 +325,17 @@ def test_investigate_golden_covers_the_investigations_table():
     assert "Step hash_and_scan p50/p99 (ms)" in full
     assert "investigate fingerprint=" in full
 
-    def fingerprint(text):
-        return next(line for line in text.splitlines()
-                    if line.startswith("investigate fingerprint="))
 
-    # The process-pool twin is the pool-matrix equivalence guarantee,
-    # visible in the goldens themselves: same fleet fingerprint, only
-    # the header's workers/pool fields and the Pool row differ.
-    process = (GOLDEN_DIR / "investigate_seed7_process4.txt").read_text()
-    assert "pool=process" in process.splitlines()[0]
-    assert fingerprint(process) == fingerprint(full)
+def test_workers4_investigate_fingerprint_equals_serial_golden(
+        frozen_wall_clock, capsys):
+    """A 4-worker process-pool fleet prints the serial golden's fleet
+    fingerprint: pool shape never changes what the fleet found."""
+    argv = INVESTIGATE_BASE + ["--workers", "4"] + INVESTIGATE_SUB
+    assert cli.main(argv) == 0
+    output = capsys.readouterr().out
+    assert "workers=4 pool=process" in output.splitlines()[0]
+    full = (GOLDEN_DIR / "investigate_seed7_full.txt").read_text()
+    assert _fleet_fingerprint(output) == _fleet_fingerprint(full)
 
 
 def test_stream_golden_covers_the_epoch_table():
